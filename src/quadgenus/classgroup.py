@@ -10,7 +10,7 @@ plenty at desk scale and easy to cross-check against element orders.
 from __future__ import annotations
 
 from .arith import Discriminant, factorize
-from .forms import BinaryForm, compose_crt, enumerate_reduced, principal_form
+from .forms import BinaryForm, compose_crt, enumerate_reduced, principal_form, reduce_form
 
 __all__ = [
     "ClassGroup",
@@ -24,27 +24,26 @@ __all__ = [
 class ClassGroup:
     """elements[i] are the reduced forms sorted by (a, b); table[i][j] is
     the index of elements[i] composed with elements[j]; structure is the
-    invariant factor list n1 | n2 | ... with product h."""
+    invariant factor list n1 | n2 | ... with product h; index maps (a, b)
+    of each element to its position."""
 
-    __slots__ = ("disc", "elements", "table", "structure")
+    __slots__ = ("disc", "elements", "table", "structure", "index")
 
-    def __init__(self, disc, elements, table, structure):
+    def __init__(self, disc, elements, table, structure, index):
         self.disc = disc
         self.elements = elements
         self.table = table
         self.structure = structure
+        self.index = index
 
     @property
     def h(self) -> int:
         return len(self.elements)
 
     def index_of(self, f: BinaryForm) -> int:
-        from .forms import reduce_form
-
         r = reduce_form(f)[0]
-        for i, g in enumerate(self.elements):
-            if g == r:
-                return i
+        if r.disc.d == self.disc.d and (r.a, r.b) in self.index:
+            return self.index[(r.a, r.b)]
         raise KeyError(f"{f} is not a class of discriminant {self.disc.d}")
 
     def __repr__(self):
@@ -119,7 +118,7 @@ def class_group(disc: Discriminant) -> ClassGroup:
         prod *= n
         assert k == 0 or n % structure[k - 1] == 0, "invariant factors must divide"
     assert prod == h, "invariant factors must multiply to the class number"
-    return ClassGroup(disc, elements, table, structure)
+    return ClassGroup(disc, elements, table, structure, index)
 
 
 def two_torsion(group: ClassGroup) -> list[BinaryForm]:

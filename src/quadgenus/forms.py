@@ -4,7 +4,9 @@ Reduction (with a determinant-1 change-of-variables witness), enumeration
 of the reduced representatives, and Dirichlet/CRT composition. Composition
 of a non-concordant pair first replaces the second form by an equivalent
 one whose leading coefficient is coprime to 2*a*d, after which the three
-composition congruences have a unique solution modulo 2*a*a'.
+composition congruences have a unique solution modulo 2*a*a', written down
+in closed form (Dirichlet's united forms, Cohen Alg. 5.4.7). Reduction and
+composition are plain integer code and take O(log|d|) steps.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .arith import DomainError, Discriminant, _check_same_disc
-from .lattice import identity_matrix, mat_mul
+from .lattice import _xgcd
 
 __all__ = [
     "BinaryForm",
@@ -87,26 +89,22 @@ def reduce_form(f: BinaryForm):
 
     Classical reduction: normalize b into (-a, a], then swap while a > c
     (or a == c with b < 0). The unique reduced representative satisfies
-    |b| <= a <= c with b >= 0 on the boundary cases.
+    |b| <= a <= c with b >= 0 on the boundary cases. The witness
+    ((p, q), (r, s)) is kept as four ints and updated at each step.
     """
     a, b, c = f.a, f.b, f.c
-    w = identity_matrix(2)
-
-    def normalize(a, b, c, w):
-        r = (a - b) // (2 * a)
-        if r:
-            # x -> x + r*y
-            w = mat_mul(w, ((1, r), (0, 1)))
-            b, c = b + 2 * r * a, a * r * r + b * r + c
-        return a, b, c, w
-
-    a, b, c, w = normalize(a, b, c, w)
-    while a > c or (a == c and b < 0):
+    p, q, r, s = 1, 0, 0, 1
+    while True:
+        k = (a - b) // (2 * a)
+        if k:
+            # x -> x + k*y
+            q, s = q + k * p, s + k * r
+            b, c = b + 2 * k * a, a * k * k + b * k + c
+        if not (a > c or (a == c and b < 0)):
+            return BinaryForm(a, b, c, f.disc, check=False), ((p, q), (r, s))
         # x -> y, y -> -x swaps the outer coefficients and negates b
-        w = mat_mul(w, ((0, 1), (-1, 0)))
+        p, q, r, s = -q, p, -s, r
         a, b, c = c, -b, a
-        a, b, c, w = normalize(a, b, c, w)
-    return BinaryForm(a, b, c, f.disc, check=False), w
 
 
 def principal_form(disc: Discriminant) -> BinaryForm:
@@ -171,23 +169,11 @@ def coprime_equivalent(g: BinaryForm, n: int) -> BinaryForm:
                 val = g.a * x * x + g.b * x * y + g.c * y * y
                 if math.gcd(val, n) != 1:
                     continue
-                _, s, t = _xgcd_pair(x, y)
+                _, s, t = _xgcd(x, y)
                 # first column (x, y), determinant x*s' - y*r' = 1
                 m = ((x, -t), (y, s))
                 return _act_on_binary(m, g)
     raise AssertionError("primitive form failed to represent a coprime value")
-
-
-def _xgcd_pair(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
 
 
 def _act_on_binary(m, g: BinaryForm) -> BinaryForm:
@@ -204,24 +190,24 @@ def composition_b(a1: int, b1: int, a2: int, b2: int, d: int) -> int:
     """The unique B modulo 2*a1*a2 with B = b1 (mod 2*a1), B = b2 (mod 2*a2)
     and B^2 = d (mod 4*a1*a2), normalized to the least non-negative residue.
 
-    Requires gcd(a1, a2, (b1 + b2)/2) == 1.
+    Requires gcd(a1, a2, (b1 + b2)/2) == 1. Closed form (Dirichlet's united
+    forms, Cohen Alg. 5.4.7): with s = (b1 + b2)/2, two xgcds give
+    g1 = x*a1 + y*a2 and 1 = p*g1 + w*s, and then
+    B = p*x*a1*b2 + p*y*a2*b1 + w*(b1*b2 + d)/2. The three congruences are
+    checked, not searched for.
     """
-    m1, m2 = 2 * a1, 2 * a2
-    g, x, _ = _xgcd_pair(m1, m2)
-    if (b2 - b1) % g:
-        raise AssertionError("composition congruences are inconsistent")
-    lcm = m1 // g * m2
-    # CRT for the two linear congruences
-    b0 = (b1 + (b2 - b1) // g * x % (m2 // g) * m1) % lcm
-    mod = m1 * a2  # 2*a1*a2
-    candidates = [
-        bb for bb in range(b0, mod, lcm) if (bb * bb - d) % (2 * mod) == 0
-    ]
-    if len(candidates) != 1:
+    s = (b1 + b2) // 2
+    g1, x, y = _xgcd(a1, a2)
+    g, p, w = _xgcd(g1, s)
+    if g != 1:
+        raise DomainError(f"non-concordant pair: gcd(a, a', (b+b')/2) = {g}")
+    mod = 2 * a1 * a2
+    bb = (p * x * a1 * b2 + p * y * a2 * b1 + w * ((b1 * b2 + d) // 2)) % mod
+    if (bb - b1) % (2 * a1) or (bb - b2) % (2 * a2) or (bb * bb - d) % (2 * mod):
         raise AssertionError(
-            f"expected exactly one composite middle coefficient, got {candidates}"
+            f"no composite middle coefficient for ({a1},{b1}) and ({a2},{b2}) at d = {d}"
         )
-    return candidates[0]
+    return bb
 
 
 def compose_crt(f: BinaryForm, g: BinaryForm) -> BinaryForm:

@@ -159,7 +159,8 @@ def tau_pair(alpha: OrderIdeal, beta: OrderIdeal):
     bb = composition_b(alpha.a, alpha.b, beta.a, beta.b, alpha.disc.d)
     k1, r1 = divmod(bb - alpha.b, 2 * alpha.a)
     k2, r2 = divmod(bb - beta.b, 2 * beta.a)
-    assert r1 == 0 and r2 == 0
+    if r1 or r2:
+        raise AssertionError("composite B is not b (mod 2a) and b' (mod 2a')")
     tau1 = ((beta.a, k1), (0, 1))
     tau2 = ((alpha.a, k2), (0, 1))
     return tau1, tau2, bb, k1, k2

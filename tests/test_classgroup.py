@@ -1,6 +1,8 @@
 import math
 import random
 
+import pytest
+
 from quadgenus.arith import Discriminant
 from quadgenus.classgroup import (
     cl_mod_squares,
@@ -8,7 +10,7 @@ from quadgenus.classgroup import (
     genus_count_from_factorization,
     two_torsion,
 )
-from quadgenus.forms import form_inverse
+from quadgenus.forms import BinaryForm, form_inverse
 
 
 def test_trivial_group():
@@ -27,6 +29,9 @@ def test_cyclic_three():
     order, reps = cl_mod_squares(g)
     assert order == 1
     assert [f.triple() for f in reps] == [(1, 1, 6)]
+    assert g.index_of(BinaryForm(4, 5, 3, g.disc)) == 1  # reduces to (2,-1,3)
+    with pytest.raises(KeyError):
+        g.index_of(BinaryForm(1, 1, 1, Discriminant(-3)))  # same (a, b) as (1,1,6)
 
 
 def test_klein_four():

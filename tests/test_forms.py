@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from quadgenus.arith import Discriminant, DomainError
 from quadgenus.forms import (
     BinaryForm,
     compose_crt,
+    composition_b,
     coprime_equivalent,
     enumerate_reduced,
     form_inverse,
@@ -15,6 +17,8 @@ from quadgenus.forms import (
     principal_form,
     reduce_form,
 )
+from quadgenus.ideals import compose_via_matrices, form_to_ideal, ideal_mul, ideal_to_form
+from quadgenus.lattice import _xgcd
 from quadgenus.normforms import MultiQuadraticForm, form_action
 
 D23 = Discriminant(-23)
@@ -191,3 +195,80 @@ def test_crt_matches_ideal_route_random():
         _, prod = ideal_mul(form_to_ideal(f), form_to_ideal(g))
         assert crt == rf(ideal_to_form(prod))[0]
         checked += 1
+
+
+def _composition_b_by_search(a1, b1, a2, b2, d):
+    # reference: CRT for the two linear congruences, then scan the
+    # gcd(a1, a2) lifts modulo 2*a1*a2 for the one with B^2 = d (mod 4*a1*a2)
+    m1, m2 = 2 * a1, 2 * a2
+    g, x, _ = _xgcd(m1, m2)
+    assert (b2 - b1) % g == 0
+    lcm = m1 // g * m2
+    b0 = (b1 + (b2 - b1) // g * x % (m2 // g) * m1) % lcm
+    mod = m1 * a2
+    candidates = [bb for bb in range(b0, mod, lcm) if (bb * bb - d) % (2 * mod) == 0]
+    assert len(candidates) == 1, candidates
+    return candidates[0]
+
+
+def test_composition_b_matches_search():
+    pairs = 0
+    for dv in range(-3, -2001, -1):
+        if dv % 4 not in (0, 1):
+            continue
+        forms = enumerate_reduced(Discriminant(dv))
+        for f in forms:
+            for g in forms:
+                if not is_concordant(f, g):
+                    continue
+                expected = _composition_b_by_search(f.a, f.b, g.a, g.b, dv)
+                assert composition_b(f.a, f.b, g.a, g.b, dv) == expected, (dv, f, g)
+                pairs += 1
+    assert pairs > 100000
+
+
+def test_composition_b_rejects_non_concordant():
+    # (2,1,3) and its inverse (2,-1,3): gcd(2, 2, 0) = 2
+    with pytest.raises(DomainError, match="non-concordant"):
+        composition_b(2, 1, 2, -1, -23)
+
+
+def _form_near_sqrt(digits, rng):
+    # a, c close to sqrt(|d|/4), so |d| = 4ac - b^2 has the given length
+    a = math.isqrt(10**digits // 8) + rng.randrange(10**6)
+    while True:
+        c = a + rng.randrange(1, 10**6)
+        b = rng.randrange(-a + 1, a + 1)
+        if math.gcd(a, b, c) == 1:
+            d = Discriminant(b * b - 4 * a * c)
+            assert len(str(-d.d)) == digits
+            return BinaryForm(a, b, c, d)
+
+
+@pytest.mark.parametrize("digits", [50, 200])
+def test_large_discriminant_composition(digits):
+    t0 = time.monotonic()
+    rng = random.Random(digits)
+    f = _form_near_sqrt(digits, rng)
+    d = f.disc
+    f2 = compose_crt(f, f)
+    f3 = compose_crt(f2, f)
+    assert compose_crt(f3, form_inverse(f3)) == principal_form(d)
+    assert compose_crt(form_inverse(f2), f3) == reduce_form(f)[0]
+    for g, h in ((f, f), (f2, f), (f3, form_inverse(f))):
+        _, prod = ideal_mul(form_to_ideal(g), form_to_ideal(h))
+        crt = compose_crt(g, h)
+        assert compose_via_matrices(g, h) == crt
+        assert reduce_form(ideal_to_form(prod))[0] == crt
+    # unreduce by a large determinant-1 substitution, then reduce back
+    k1, k2 = rng.randrange(-10**20, 10**20), rng.randrange(-10**20, 10**20)
+    g = ((1 + k1 * k2, k1), (k2, 1))
+    mf = MultiQuadraticForm.from_binary_triple(*f.triple(), d)
+    messy = BinaryForm(*form_action(g, mf).binary_triple(), d)
+    r, w = reduce_form(messy)
+    assert r == reduce_form(f)[0]
+    assert w[0][0] * w[1][1] - w[0][1] * w[1][0] == 1
+    acted = form_action(w, MultiQuadraticForm.from_binary_triple(*messy.triple(), d))
+    assert acted.binary_triple() == r.triple()
+    elapsed = time.monotonic() - t0
+    assert elapsed < 5.0, f"{digits}-digit composition took {elapsed:.1f}s"
