@@ -37,10 +37,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_disc(value) -> Discriminant:
-    return Discriminant(int(value))
-
-
 def _parse_form(text: str, disc: Discriminant) -> BinaryForm:
     m = _FORM_RE.match(text.strip())
     if not m:
@@ -90,183 +86,111 @@ def _parse_matrix(text: str):
 
 
 def _stringify(value):
+    """JSON-ready copy of a result: integers as decimal strings, forms,
+    ideals and norm forms as objects of their fields."""
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
         return str(value)
     if isinstance(value, (list, tuple)):
         return [_stringify(v) for v in value]
+    if isinstance(value, BinaryForm):
+        value = {"a": value.a, "b": value.b, "c": value.c, "d": value.disc.d}
+    elif isinstance(value, OrderIdeal):
+        value = {"a": value.a, "b": value.b, "d": value.disc.d}
+    elif isinstance(value, MultiQuadraticForm):
+        coeffs = [(i, j, c) for (i, j), c in sorted(value.coeffs.items())]
+        value = {"m": value.m, "d": value.disc.d, "coeffs": coeffs}
     if isinstance(value, dict):
         return {k: _stringify(v) for k, v in value.items()}
     return value
 
 
-def _form_json(f: BinaryForm):
-    return {"a": f.a, "b": f.b, "c": f.c, "d": f.disc.d}
-
-
-def _ideal_json(i: OrderIdeal):
-    return {"a": i.a, "b": i.b, "d": i.disc.d}
-
-
-def _matrix_json(m):
-    return [list(row) for row in m]
-
-
-def _multiform_json(f: MultiQuadraticForm):
-    return {
-        "m": f.m,
-        "d": f.disc.d,
-        "coeffs": [[i, j, c] for (i, j), c in sorted(f.coeffs.items())],
-    }
-
-
-def _multiform_text(f: MultiQuadraticForm) -> str:
-    return str(f)
-
-
-def _matrix_text(m) -> str:
-    return "[" + ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in m) + "]"
+def _text(value) -> str:
+    """One result value as text: a list of forms space-separated, a number
+    or an integer vector or matrix in JSON notation."""
+    if isinstance(value, list) and value and isinstance(value[0], BinaryForm):
+        return " ".join(str(f) for f in value)
+    return json.dumps(value)
 
 
 # --- subcommand handlers ------------------------------------------------------
-# each returns (result_json, text_lines)
+# each takes the parsed arguments and the discriminant of -d (None for verify)
+# and returns (result, text_lines)
 
 
-def _cmd_reduce(args):
-    disc = _parse_disc(args.d)
-    f = _parse_form(args.form, disc)
-    r, w = reduce_form(f)
-    return {"form": _form_json(r), "witness": _matrix_json(w)}, [
-        str(r),
-        "witness: " + _matrix_text(w),
-    ]
+def _cmd_reduce(args, disc):
+    r, w = reduce_form(_parse_form(args.form, disc))
+    return {"form": r, "witness": w}, [str(r), "witness: " + _text(w)]
 
 
-def _cmd_enumerate(args):
-    disc = _parse_disc(args.d)
+def _cmd_enumerate(args, disc):
     forms = enumerate_reduced(disc)
-    return {"d": disc.d, "h": len(forms), "forms": [_form_json(f) for f in forms]}, [
-        str(f) for f in forms
-    ]
+    return {"d": disc.d, "h": len(forms), "forms": forms}, [str(f) for f in forms]
 
 
-def _cmd_compose(args):
-    disc = _parse_disc(args.d)
-    f = _parse_form(args.f, disc)
-    g = _parse_form(args.g, disc)
-    r = compose_crt(f, g)
-    return {"form": _form_json(r)}, [str(r)]
+def _cmd_compose(args, disc):
+    r = args.route(_parse_form(args.f, disc), _parse_form(args.g, disc))
+    return {"form": r}, [str(r)]
 
 
-def _cmd_compose_matrix(args):
-    disc = _parse_disc(args.d)
-    f = _parse_form(args.f, disc)
-    g = _parse_form(args.g, disc)
-    r = compose_via_matrices(f, g)
-    return {"form": _form_json(r)}, [str(r)]
-
-
-def _cmd_classgroup(args):
-    disc = _parse_disc(args.d)
+def _cmd_classgroup(args, disc):
     g = class_group(disc)
-    tt = two_torsion(g)
-    genus_order, _ = cl_mod_squares(g)
-    result = {
+    genus_order, reps = cl_mod_squares(g)
+    values = {
         "d": disc.d,
         "h": g.h,
-        "structure": list(g.structure),
-        "elements": [_form_json(f) for f in g.elements],
-        "two_torsion": [_form_json(f) for f in tt],
+        "structure": g.structure,
+        "elements": g.elements,
+        "two_torsion": two_torsion(g),
         "genus_order": genus_order,
+        "coset_reps": reps,
     }
+    result = {k: values[k] for k in args.fields}
+    lines = [f"{k}: {_text(v)}" for k, v in result.items()]
     if args.table:
-        result["table"] = [list(row) for row in g.table]
-    lines = [
-        f"d: {disc.d}",
-        f"h: {g.h}",
-        "structure: [" + ", ".join(str(n) for n in g.structure) + "]",
-        "elements: " + " ".join(str(f) for f in g.elements),
-        "two_torsion: " + " ".join(str(f) for f in tt),
-        f"genus_order: {genus_order}",
-    ]
-    if args.table:
+        result["table"] = g.table
         lines.append("table:")
         lines += ["  " + " ".join(str(k) for k in row) for row in g.table]
     return result, lines
 
 
-def _cmd_ideal_mul(args):
-    disc = _parse_disc(args.d)
-    a = _parse_ideal(args.i1, disc)
-    b = _parse_ideal(args.i2, disc)
-    content, prod = ideal_mul(a, b)
+def _cmd_ideal_mul(args, disc):
+    content, prod = ideal_mul(_parse_ideal(args.i1, disc), _parse_ideal(args.i2, disc))
     text = str(prod) if content == 1 else f"{content} * {prod}"
-    return {"content": content, "ideal": _ideal_json(prod)}, [text]
+    return {"content": content, "ideal": prod}, [text]
 
 
-def _cmd_form2ideal(args):
-    disc = _parse_disc(args.d)
-    f = _parse_form(args.form, disc)
-    i = form_to_ideal(f)
-    return {"ideal": _ideal_json(i)}, [str(i)]
+def _cmd_form2ideal(args, disc):
+    i = form_to_ideal(_parse_form(args.form, disc))
+    return {"ideal": i}, [str(i)]
 
 
-def _cmd_ideal2form(args):
-    disc = _parse_disc(args.d)
-    i = _parse_ideal(args.ideal, disc)
-    f = ideal_to_form(i)
-    return {"form": _form_json(f)}, [str(f)]
+def _cmd_ideal2form(args, disc):
+    f = ideal_to_form(_parse_ideal(args.ideal, disc))
+    return {"form": f}, [str(f)]
 
 
-def _cmd_normform(args):
-    disc = _parse_disc(args.d)
-    x = _parse_tuple(args.tuple, disc)
-    f = norm_form(x)
-    return {"form": _multiform_json(f)}, [_multiform_text(f)]
+def _cmd_normform(args, disc):
+    f = norm_form(_parse_tuple(args.tuple, disc))
+    return {"form": f}, [str(f)]
 
 
-def _cmd_solve_transform(args):
-    disc = _parse_disc(args.d)
-    x = _parse_tuple(args.x, disc)
-    y = _parse_tuple(args.y, disc)
-    h = solve_transform(x, y)
-    return {"matrix": _matrix_json(h)}, [_matrix_text(h)]
+def _cmd_solve_transform(args, disc):
+    h = solve_transform(_parse_tuple(args.x, disc), _parse_tuple(args.y, disc))
+    return {"matrix": h}, [_text(h)]
 
 
-def _cmd_form_action(args):
-    disc = _parse_disc(args.d)
+def _cmd_form_action(args, disc):
     h = _parse_matrix(args.matrix)
-    if len(h) == 2 and _FORM_RE.match(args.form.strip()):
-        a, b, c = (int(g) for g in _FORM_RE.match(args.form.strip()).groups())
+    m = _FORM_RE.match(args.form.strip())
+    if len(h) == 2 and m:
+        a, b, c = (int(g) for g in m.groups())
         f = MultiQuadraticForm.from_binary_triple(a, b, c, disc)
     else:
-        x = _parse_tuple(args.form, disc)
-        f = norm_form(x)
+        f = norm_form(_parse_tuple(args.form, disc))
     r = form_action(h, f)
-    return {"form": _multiform_json(r)}, [_multiform_text(r)]
-
-
-def _cmd_genus(args):
-    disc = _parse_disc(args.d)
-    g = class_group(disc)
-    tt = two_torsion(g)
-    genus_order, reps = cl_mod_squares(g)
-    result = {
-        "d": disc.d,
-        "h": g.h,
-        "two_torsion": [_form_json(f) for f in tt],
-        "genus_order": genus_order,
-        "coset_reps": [_form_json(f) for f in reps],
-    }
-    lines = [
-        f"d: {disc.d}",
-        f"h: {g.h}",
-        "two_torsion: " + " ".join(str(f) for f in tt),
-        f"genus_order: {genus_order}",
-        "coset_reps: " + " ".join(str(f) for f in reps),
-    ]
-    return result, lines
+    return {"form": r}, [str(r)]
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -278,9 +202,11 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _cmd_verify(args):
+def _cmd_verify(args, _disc):
     lo, hi = _parse_range(args.range)
     samples = args.samples
+    if samples < 0:
+        raise UsageError(f"--samples must be >= 0, got {samples}")
     rng = random.Random(0)
     discs = pairs = 0
     mismatches = []
@@ -302,9 +228,7 @@ def _cmd_verify(args):
             idl = reduce_form(ideal_to_form(prod))[0]
             pairs += 1
             if not (crt == mat == idl):
-                mismatches.append(
-                    {"d": d, "f": _form_json(f), "g": _form_json(g)}
-                )
+                mismatches.append({"d": d, "f": f, "g": g})
     result = {
         "range": [lo, hi],
         "discriminants": discs,
@@ -328,25 +252,29 @@ def build_parser() -> _Parser:
 
     def add(name, fn, **arguments):
         p = sub.add_parser(name, parents=[shared])
-        p.add_argument("-d", required=True, help="discriminant (negative, 0 or 1 mod 4)")
+        p.add_argument("-d", type=int, required=True, help="discriminant (negative, 0 or 1 mod 4)")
         for arg, helptext in arguments.items():
             p.add_argument(arg, help=helptext)
         p.set_defaults(fn=fn)
         return p
 
+    two_forms = {"f": 'first form "(a,b,c)"', "g": 'second form "(a,b,c)"'}
     add("reduce", _cmd_reduce, form='form "(a,b,c)"')
     add("enumerate", _cmd_enumerate)
-    add("compose", _cmd_compose, f='first form "(a,b,c)"', g='second form "(a,b,c)"')
-    add("compose-matrix", _cmd_compose_matrix, f='first form "(a,b,c)"', g='second form "(a,b,c)"')
+    add("compose", _cmd_compose, **two_forms).set_defaults(route=compose_crt)
+    add("compose-matrix", _cmd_compose, **two_forms).set_defaults(route=compose_via_matrices)
     p = add("classgroup", _cmd_classgroup)
     p.add_argument("--table", action="store_true", help="include the full Cayley table")
+    p.set_defaults(fields=("d", "h", "structure", "elements", "two_torsion", "genus_order"))
     add("ideal-mul", _cmd_ideal_mul, i1='first ideal "(a,b)"', i2='second ideal "(a,b)"')
     add("form2ideal", _cmd_form2ideal, form='form "(a,b,c)"')
     add("ideal2form", _cmd_ideal2form, ideal='ideal "(a,b)"')
     add("normform", _cmd_normform, tuple='generator tuple "(p,q),(p,q),..."')
     add("solve-transform", _cmd_solve_transform, x='source tuple "(p,q),..."', y='target tuple "(p,q),..."')
     add("form-action", _cmd_form_action, matrix='matrix "[[..],[..]]"', form='form "(a,b,c)" or tuple "(p,q),..."')
-    add("genus", _cmd_genus)
+    add("genus", _cmd_classgroup).set_defaults(
+        fields=("d", "h", "two_torsion", "genus_order", "coset_reps"), table=False
+    )
     vp = sub.add_parser("verify", parents=[shared])
     vp.add_argument("--range", required=True, help='discriminant range "-lo..-hi"')
     vp.add_argument("--samples", type=int, default=25, help="max pairs per discriminant")
@@ -354,52 +282,36 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(envelope, stream, fmt, text_lines=None):
-    if fmt == "json" or text_lines is None:
-        print(json.dumps(_stringify(envelope), separators=(",", ":")), file=stream)
-    else:
-        for line in text_lines:
-            print(line, file=stream)
+def _json(envelope) -> str:
+    return json.dumps(_stringify(envelope), separators=(",", ":"))
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # join option values that start with "-" so argparse does not read them
     # as flags, e.g. --range -4..-2000
-    joined = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok == "--range" and i + 1 < len(argv):
-            joined.append(f"--range={argv[i + 1]}")
-            skip = True
-        else:
-            joined.append(tok)
-    argv = joined
-    parser = build_parser()
-    fmt = None
+    while "--range" in argv[:-1]:
+        i = argv.index("--range")
+        argv[i:i + 2] = [f"--range={argv[i + 1]}"]
     command = ""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         fmt = getattr(args, "format", None) or os.environ.get("QG_FORMAT") or "text"
         if fmt not in ("json", "text"):
             raise UsageError(f"QG_FORMAT must be json or text, not {fmt!r}")
         command = args.command or ""
         if not command:
             raise UsageError("a subcommand is required (try --help)")
-        result, lines = args.fn(args)
-    except UsageError as exc:
-        envelope = {"status": "error", "command": command, "error": str(exc)}
-        _emit(envelope, sys.stderr, "json")
-        return 2
-    except (DomainError, ValueError) as exc:
-        envelope = {"status": "error", "command": command, "error": str(exc)}
-        _emit(envelope, sys.stderr, "json")
-        return 1
-    envelope = {"status": "ok", "command": command, "result": result}
-    _emit(envelope, sys.stdout, fmt, lines)
+        disc = Discriminant(args.d) if "d" in args else None
+        result, lines = args.fn(args, disc)
+    except (UsageError, ValueError) as exc:
+        print(_json({"status": "error", "command": command, "error": str(exc)}), file=sys.stderr)
+        return 2 if isinstance(exc, UsageError) else 1
+    if fmt == "json":
+        print(_json({"status": "ok", "command": command, "result": result}))
+    else:
+        for line in lines:
+            print(line)
     return 0
 
 

@@ -270,7 +270,7 @@ def check_matrix(h, m: int | None = None) -> tuple[tuple[int, ...], ...]:
         raise DomainError(f"dimension mismatch: {size}x{size} matrix on {m} variables")
     for r in rows:
         for e in r:
-            if not isinstance(e, int):
+            if not isinstance(e, int) or isinstance(e, bool):
                 raise DomainError("transform matrix entries must be integers")
     return rows
 

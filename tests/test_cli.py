@@ -1,8 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from quadgenus.cli import main
+
+# Every subcommand in text and JSON format plus some error cases, each with
+# its exact exit code, stdout and stderr.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +111,15 @@ def test_verify(capsys):
     assert int(env["result"]["discriminants"]) == 49
 
 
+def test_golden_output(capsys):
+    mismatched = []
+    for case in GOLDEN:
+        got = run_cli(capsys, *case["argv"])
+        if got != (case["code"], case["stdout"], case["stderr"]):
+            mismatched.append((case["argv"], got))
+    assert mismatched == []
+
+
 def test_determinism(capsys):
     args = ["--format", "json", "classgroup", "-d", "-479"]
     code1, out1, _ = run_cli(capsys, *args)
@@ -150,6 +164,25 @@ def test_usage_errors_exit_2(capsys):
     code, out, err = run_cli(capsys, "reduce", "-d", "-23", "2 1 3")
     assert code == 2
     assert "expected" in json.loads(err)["error"]
+
+    code, out, err = run_cli(capsys, "compose", "-d", "abc", "(2,1,3)", "(2,1,3)")
+    assert code == 2
+    assert out == ""
+    assert "-d" in json.loads(err)["error"]
+
+    code, out, err = run_cli(capsys, "verify", "--range", "-4..-20", "--samples", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--samples" in json.loads(err)["error"]
+
+    code, out, err = run_cli(capsys, "verify", "--range", "-4..-20", "--samples", "0")
+    assert code == 0
+    assert out == "checked 9 discriminants, 0 pairs, 0 mismatches\n"
+
+    code, out, err = run_cli(capsys, "form-action", "-d", "-23", "[[true,0],[0,1]]", "(1,1,6)")
+    assert code == 2
+    assert out == ""
+    assert "integers" in json.loads(err)["error"]
 
 
 def test_env_var_format(capsys, monkeypatch):

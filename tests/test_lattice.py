@@ -185,6 +185,14 @@ def test_apply_dimension_mismatch():
         apply_transform(((1, 0), (0,)), integral())
 
 
+def test_bool_entries_rejected():
+    # bool is a subclass of int, but True is not a matrix entry
+    with pytest.raises(DomainError, match="integers"):
+        apply_transform(((True, 0), (0, 1)), integral())
+    with pytest.raises(DomainError, match="integers"):
+        mat_mul(identity_matrix(2), ((1, False), (0, 1)))
+
+
 def test_roundtrip_random():
     rng = random.Random(9)
     for _ in range(250):
