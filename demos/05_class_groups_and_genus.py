@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-# Class groups from composition tables: class numbers, invariant factors,
+# Class groups of reduced forms: class numbers, invariant factors,
 # two-torsion (the ambiguous classes) and the quotient by squares, whose
 # order is the classical genus count 2^(t-1).
 

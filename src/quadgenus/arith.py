@@ -126,7 +126,8 @@ def _conductor_split(d: int) -> tuple[int, int]:
     if -k % 4 == 1:
         return s, -k
     # d = 0 (mod 4) forces s even here
-    assert s % 2 == 0
+    if s % 2:
+        raise AssertionError(f"square part {s} of d = {d} must be even")
     return s // 2, -4 * k
 
 

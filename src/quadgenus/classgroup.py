@@ -1,16 +1,25 @@
-"""Form class groups from composition tables, with two-torsion and the
+"""Form class groups by generator extension, with two-torsion and the
 quotient by squares.
 
-The group lives on the reduced forms of one discriminant; the Cayley table
-is filled by CRT composition. The invariant factor decomposition peels off
-a cyclic subgroup of maximal order and recurses on the quotient, which is
-plenty at desk scale and easy to cross-check against element orders.
+The group lives on the reduced forms of one discriminant. Its structure
+comes from growing a subgroup one generator at a time (Buchmann-Schmidt,
+"Computing the structure of a finite abelian group", Math. Comp. 74,
+2005): each generator is the least reduced form outside the subgroup, each
+new element costs one CRT composition, so about h compositions give every
+class an exponent vector over the generators, and the Smith normal form of
+the small relation matrix gives the invariant factors. Two-torsion is read
+off the ambiguous reduced forms and the quotient by squares off the
+exponent vectors mod 2, so neither composes. The Cayley table is built on
+demand only, by full pairwise composition.
 """
 
 from __future__ import annotations
 
+import math
+
 from .arith import Discriminant, factorize
 from .forms import BinaryForm, compose_crt, enumerate_reduced, principal_form, reduce_form
+from .lattice import _xgcd
 
 __all__ = [
     "ClassGroup",
@@ -22,23 +31,46 @@ __all__ = [
 
 
 class ClassGroup:
-    """elements[i] are the reduced forms sorted by (a, b); table[i][j] is
-    the index of elements[i] composed with elements[j]; structure is the
+    """elements[i] are the reduced forms sorted by (a, b); structure is the
     invariant factor list n1 | n2 | ... with product h; index maps (a, b)
-    of each element to its position."""
+    of each element to its position; coords[i] is the exponent vector of
+    elements[i] over the generators g_t, and relations has one row
+    m_t*e_t - coords(g_t**m_t) per generator of order m_t modulo the
+    earlier ones; table[i][j] is the index of elements[i] composed with
+    elements[j]."""
 
-    __slots__ = ("disc", "elements", "table", "structure", "index")
+    __slots__ = ("disc", "elements", "structure", "index", "coords", "relations", "_table")
 
-    def __init__(self, disc, elements, table, structure, index):
+    def __init__(self, disc, elements, structure, index, coords, relations):
         self.disc = disc
         self.elements = elements
-        self.table = table
         self.structure = structure
         self.index = index
+        self.coords = coords
+        self.relations = relations
+        self._table = None
 
     @property
     def h(self) -> int:
         return len(self.elements)
+
+    @property
+    def table(self) -> list[list[int]]:
+        """Built on first use from h(h+1)/2 CRT compositions and checked:
+        the principal row is the identity, every row a permutation."""
+        if self._table is None:
+            h, elements = self.h, self.elements
+            table = [[0] * h for _ in range(h)]
+            for i in range(h):
+                for j in range(i, h):
+                    p = compose_crt(elements[i], elements[j])
+                    table[i][j] = table[j][i] = self.index[(p.a, p.b)]
+            if table[0] != list(range(h)):
+                raise AssertionError("principal class must act as identity")
+            if any(sorted(row) != list(range(h)) for row in table):
+                raise AssertionError("composition row is not a permutation")
+            self._table = table
+        return self._table
 
     def index_of(self, f: BinaryForm) -> int:
         r = reduce_form(f)[0]
@@ -50,81 +82,88 @@ class ClassGroup:
         return f"ClassGroup(d={self.disc.d}, h={self.h}, structure={self.structure})"
 
 
-def _orders(table, e):
-    out = []
-    for i in range(len(table)):
-        k = table[e][i]
-        n = 1
-        while k != e:
-            k = table[k][i]
-            n += 1
-        out.append(n)
-    return out
-
-
-def _quotient_table(table, e, gen):
-    # cosets of the cyclic subgroup generated by gen
-    n = len(table)
-    sub = [e]
-    k = table[e][gen]
-    while k != e:
-        sub.append(k)
-        k = table[k][gen]
-    coset_of = [-1] * n
-    reps = []
-    for i in range(n):
-        if coset_of[i] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(i)
-        for s in sub:
-            coset_of[table[i][s]] = cid
-    q = [[coset_of[table[reps[i]][reps[j]]] for j in range(len(reps))] for i in range(len(reps))]
-    return q, coset_of[e]
-
-
-def _invariant_factors(table, e):
-    if len(table) == 1:
-        return []
-    orders = _orders(table, e)
-    top = max(orders)
-    gen = orders.index(top)
-    q, qe = _quotient_table(table, e, gen)
-    return _invariant_factors(q, qe) + [top]
+def _smith_invariants(rows) -> list[int]:
+    """Invariant factors n1 | n2 | ... (those > 1) of Z^k modulo the rows
+    of a nonsingular k x k integer matrix: diagonalize by unimodular row
+    steps on the matrix and its transpose, then replace each pair of
+    diagonal entries by their gcd and lcm."""
+    m = [list(r) for r in rows]
+    k = len(m)
+    for t in range(k):
+        while any(m[i][t] or m[t][i] for i in range(t + 1, k)):
+            for i in range(t + 1, k):
+                p, c = m[t][t], m[i][t]
+                if p and c % p == 0:
+                    m[i] = [y - c // p * x for x, y in zip(m[t], m[i])]
+                elif c:
+                    g, x, y = _xgcd(p, c)
+                    m[t], m[i] = ([x * u + y * v for u, v in zip(m[t], m[i])],
+                                  [c // g * u - p // g * v for u, v in zip(m[t], m[i])])
+            m = [list(col) for col in zip(*m)]
+    n = [abs(m[t][t]) for t in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            g = math.gcd(n[i], n[j])
+            n[i], n[j] = g, n[i] * n[j] // g
+    return [v for v in n if v > 1]
 
 
 def class_group(disc: Discriminant) -> ClassGroup:
-    """Elements, verified Cayley table, and invariant factors for one
-    discriminant."""
+    """Elements, exponent vectors over generators, and invariant factors
+    for one discriminant, in about h compositions."""
     elements = enumerate_reduced(disc)
     h = len(elements)
     index = {(f.a, f.b): i for i, f in enumerate(elements)}
-    assert elements[0] == principal_form(disc), "principal form must sort first"
-    table = [[0] * h for _ in range(h)]
-    for i in range(h):
-        fi = elements[i]
-        for j in range(i, h):
-            p = compose_crt(fi, elements[j])
-            k = index[(p.a, p.b)]
-            table[i][j] = k
-            table[j][i] = k
-    # cheap structural sanity: identity row/column and cancellation
-    assert table[0] == list(range(h)), "principal class must act as identity"
-    for row in table:
-        assert sorted(row) == list(range(h)), "composition row is not a permutation"
-    structure = _invariant_factors(table, 0)
-    prod = 1
-    for k, n in enumerate(structure):
-        prod *= n
-        assert k == 0 or n % structure[k - 1] == 0, "invariant factors must divide"
-    assert prod == h, "invariant factors must multiply to the class number"
-    return ClassGroup(disc, elements, table, structure, index)
+    if elements[0] != principal_form(disc):
+        raise AssertionError("principal form must sort first")
+    coords = [None] * h
+    coords[0] = ()
+    sub = [0]  # the subgroup found so far, as element indices
+    found = []  # (m_t, exponent vector of g_t**m_t) per generator g_t
+    nxt = 1
+    while len(sub) < h:
+        while coords[nxt] is not None:
+            nxt += 1
+        gen = elements[nxt]
+
+        def times_gen(x):
+            p = compose_crt(elements[x], gen)
+            return index[(p.a, p.b)]
+
+        t = len(found)
+        coset = sub  # g**(m-1) times the subgroup, led by g**(m-1)
+        m = 1
+        while coords[k := times_gen(coset[0])] is None:
+            new = [k] + [times_gen(x) for x in coset[1:]]
+            for x, y in zip(coset, new):
+                if coords[y] is not None:
+                    raise AssertionError("coset of the subgroup meets the subgroup")
+                c = coords[x][:t]
+                coords[y] = c + (0,) * (t - len(c)) + (m,)
+            sub += new
+            coset = new
+            m += 1
+        found.append((m, coords[k]))
+    n = len(found)
+    coords = [c + (0,) * (n - len(c)) for c in coords]
+    relations = []
+    for t, (m, img) in enumerate(found):
+        row = [-e for e in img] + [0] * (n - len(img))
+        row[t] += m
+        relations.append(tuple(row))
+    structure = _smith_invariants(relations)
+    if math.prod(structure) != h:
+        raise AssertionError("invariant factors must multiply to the class number")
+    return ClassGroup(disc, elements, structure, index, coords, relations)
 
 
 def two_torsion(group: ClassGroup) -> list[BinaryForm]:
-    """The ambiguous classes: every x with x*x = identity, identity included."""
-    t = group.table
-    return [f for i, f in enumerate(group.elements) if t[i][i] == 0]
+    """The ambiguous classes: every x with x*x = identity, identity included.
+
+    A reduced form is its own inverse exactly when b = 0, b = a or a = c,
+    so no composition is needed.
+    """
+    return [f for f in group.elements if f.b == 0 or f.b == f.a or f.a == f.c]
 
 
 def cl_mod_squares(group: ClassGroup):
@@ -133,22 +172,36 @@ def cl_mod_squares(group: ClassGroup):
     The representative of each coset is its lexicographically least reduced
     form; the order equals 2**(number of even invariant factors) and, for a
     fundamental discriminant with t distinct prime divisors, 2**(t-1).
+    Cosets are keyed by the exponent vector mod 2, reduced against the
+    relation rows mod 2 (echelon form over GF(2) on bitmasks).
     """
-    t = group.table
-    h = group.h
-    squares = sorted({t[i][i] for i in range(h)})
-    seen = [False] * h
+    basis = []  # GF(2) echelon rows, descending, with distinct leading bits
+    for row in group.relations:
+        v = _mod2(row, basis)
+        if v:
+            basis = sorted(basis + [v], reverse=True)
+    sizes = {}
     reps = []
-    for i in range(h):  # elements are (a, b)-sorted, so first hit is least
-        if seen[i]:
-            continue
-        reps.append(group.elements[i])
-        for s in squares:
-            seen[t[i][s]] = True
+    for f, c in zip(group.elements, group.coords):  # (a, b)-sorted
+        v = _mod2(c, basis)
+        if v not in sizes:
+            sizes[v] = 0
+            reps.append(f)
+        sizes[v] += 1
     order = len(reps)
-    assert order * len(squares) == h
-    assert order == 2 ** sum(1 for n in group.structure if n % 2 == 0)
+    if any(s * order != group.h for s in sizes.values()):
+        raise AssertionError("cosets of the squares differ in size")
+    if order != 2 ** sum(1 for n in group.structure if n % 2 == 0):
+        raise AssertionError("squares quotient disagrees with the invariant factors")
     return order, reps
+
+
+def _mod2(vector, basis) -> int:
+    """The vector mod 2 as a bitmask, reduced against an echelon basis."""
+    v = sum(1 << t for t, e in enumerate(vector) if e % 2)
+    for b in basis:
+        v = min(v, v ^ b)
+    return v
 
 
 def genus_count_from_factorization(disc: Discriminant) -> int:

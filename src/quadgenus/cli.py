@@ -9,6 +9,7 @@ exit code 1 for domain errors and 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -282,6 +283,10 @@ def build_parser() -> _Parser:
     return parser
 
 
+# built on the first main() call, not at import, and reused after that
+_parser = functools.cache(build_parser)
+
+
 def _json(envelope) -> str:
     return json.dumps(_stringify(envelope), separators=(",", ":"))
 
@@ -295,7 +300,7 @@ def main(argv=None) -> int:
         argv[i:i + 2] = [f"--range={argv[i + 1]}"]
     command = ""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         fmt = getattr(args, "format", None) or os.environ.get("QG_FORMAT") or "text"
         if fmt not in ("json", "text"):
             raise UsageError(f"QG_FORMAT must be json or text, not {fmt!r}")

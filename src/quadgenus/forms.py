@@ -125,24 +125,25 @@ def is_equivalent(f: BinaryForm, g: BinaryForm) -> bool:
 def enumerate_reduced(disc: Discriminant) -> list[BinaryForm]:
     """All reduced primitive forms of the discriminant, sorted by (a, b).
 
-    The list length is the class number h(d).
+    The list length is the class number h(d). Walks b = d (mod 2) with
+    0 <= b <= sqrt(|d|/3) and, for each, the divisors a of (b^2 - d)/4 in
+    [b, sqrt((b^2 - d)/4)] (Cohen Alg. 5.3.5); (a, b, c) and (a, -b, c)
+    are both reduced unless b = 0, b = a or a = c.
     """
     d = disc.d
     out = []
-    for a in range(1, math.isqrt(-d // 3) + 1):
-        for b in range(-a + 1, a + 1):
-            if (b - d) % 2:
+    for b in range(d % 2, math.isqrt(-d // 3) + 1, 2):
+        q = (b * b - d) // 4
+        for a in range(max(b, 1), math.isqrt(q) + 1):
+            if q % a:
                 continue
-            num = b * b - d
-            if num % (4 * a):
+            c = q // a
+            if math.gcd(a, b, c) != 1:
                 continue
-            c = num // (4 * a)
-            if c < a or (a == c and b < 0):
-                continue
-            if math.gcd(a, math.gcd(b, c)) != 1:
-                continue
-            out.append(BinaryForm(a, b, c, disc, check=False))
-    return out
+            out.append((a, b, c))
+            if 0 < b < a < c:
+                out.append((a, -b, c))
+    return [BinaryForm(a, b, c, disc, check=False) for a, b, c in sorted(out)]
 
 
 def is_concordant(f: BinaryForm, g: BinaryForm) -> bool:

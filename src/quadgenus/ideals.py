@@ -104,12 +104,13 @@ def ideal_to_form(alpha: OrderIdeal) -> BinaryForm:
     """The form a*x^2 + b*xy + c*y^2: the ideal's norm form scaled by 1/a.
 
     Computed the long way round, by expanding the norm form of the
-    generator polynomial and dividing out a; exact divisibility asserted.
+    generator polynomial and dividing out a; exact divisibility checked.
     """
     q = norm_form(alpha.gen_tuple())
     a = alpha.a
     coeffs = q.binary_triple()
-    assert all(x % a == 0 for x in coeffs), "ideal norm form not divisible by a"
+    if any(x % a for x in coeffs):
+        raise AssertionError("ideal norm form not divisible by a")
     aa, ab, ac = (x // a for x in coeffs)
     return BinaryForm(aa, ab, ac, alpha.disc)
 
@@ -125,9 +126,11 @@ def ideal_mul(alpha: OrderIdeal, beta: OrderIdeal) -> tuple[int, OrderIdeal]:
     _check_same_disc(alpha.disc, beta.disc)
     prod = module_mul(alpha.gen_tuple(), beta.gen_tuple())
     basis = hnf_basis(prod)
-    assert basis.rank == 2, "ideal product degenerated"
+    if basis.rank != 2:
+        raise AssertionError("ideal product degenerated")
     (n, zero), (u, v) = basis.coord_rows()
-    assert zero == 0 and n % v == 0 and u % v == 0, "ideal product is not an ideal"
+    if zero != 0 or n % v or u % v:
+        raise AssertionError("ideal product is not an ideal")
     content = v
     a = n // v
     d = alpha.disc.d
@@ -182,6 +185,7 @@ def compose_via_matrices(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     carried = form_action(mat_mul(h_alpha(alpha), tau1), principal_norm_form(disc))
     aa = f.a * g.a
     triple = carried.binary_triple()
-    assert all(x % aa == 0 for x in triple), "matrix composition not divisible by aa'"
+    if any(x % aa for x in triple):
+        raise AssertionError("matrix composition not divisible by aa'")
     raw = BinaryForm(*(x // aa for x in triple), disc)
     return reduce_form(raw)[0]

@@ -56,6 +56,10 @@ class MultiQuadraticForm:
 
     @classmethod
     def from_binary_triple(cls, a, b, c, disc: Discriminant) -> MultiQuadraticForm:
+        if b * b - 4 * a * c != disc.d:
+            raise DomainError(
+                f"form ({a},{b},{c}) has discriminant {b * b - 4 * a * c}, expected {disc.d}"
+            )
         return cls(2, {(0, 0): a, (0, 1): b, (1, 1): c}, disc)
 
     def __eq__(self, other):
@@ -129,7 +133,8 @@ def factor_witness(x: GenTuple, y: GenTuple):
     m = len(h)
     fx = norm_form(x.padded(m))
     fy = norm_form(y.padded(m))
-    assert form_action(h, fx) == fy, "transform does not carry the norm form"
+    if form_action(h, fx) != fy:
+        raise AssertionError("transform does not carry the norm form")
     return h
 
 

@@ -1,10 +1,14 @@
+import itertools
 import math
 import random
+import time
 
 import pytest
 
+import quadgenus.classgroup as classgroup
 from quadgenus.arith import Discriminant
 from quadgenus.classgroup import (
+    _smith_invariants,
     cl_mod_squares,
     class_group,
     genus_count_from_factorization,
@@ -148,3 +152,168 @@ def test_inverse_lands_in_same_coset():
         for i, f in enumerate(g.elements):
             j = g.index_of(form_inverse(f))
             assert rep_of[i] == rep_of[j]
+
+
+# --- Cayley-table oracles -----------------------------------------------------
+# They read only g.table, which is filled by full pairwise compose_crt:
+# invariant factors by peeling off cyclic subgroups of maximal order,
+# two-torsion from the diagonal, and the squares quotient by a coset sweep.
+
+
+def _orders(table, e):
+    out = []
+    for i in range(len(table)):
+        k = table[e][i]
+        n = 1
+        while k != e:
+            k = table[k][i]
+            n += 1
+        out.append(n)
+    return out
+
+
+def _quotient_table(table, e, gen):
+    # cosets of the cyclic subgroup generated by gen
+    n = len(table)
+    sub = [e]
+    k = table[e][gen]
+    while k != e:
+        sub.append(k)
+        k = table[k][gen]
+    coset_of = [-1] * n
+    reps = []
+    for i in range(n):
+        if coset_of[i] >= 0:
+            continue
+        cid = len(reps)
+        reps.append(i)
+        for s in sub:
+            coset_of[table[i][s]] = cid
+    q = [[coset_of[table[reps[i]][reps[j]]] for j in range(len(reps))] for i in range(len(reps))]
+    return q, coset_of[e]
+
+
+def _invariant_factors(table, e):
+    # peel off a cyclic subgroup of maximal order and recurse on the quotient
+    if len(table) == 1:
+        return []
+    orders = _orders(table, e)
+    top = max(orders)
+    gen = orders.index(top)
+    q, qe = _quotient_table(table, e, gen)
+    return _invariant_factors(q, qe) + [top]
+
+
+def _table_two_torsion(g):
+    t = g.table
+    return [f for i, f in enumerate(g.elements) if t[i][i] == 0]
+
+
+def _table_cl_mod_squares(g):
+    t = g.table
+    squares = sorted({t[i][i] for i in range(g.h)})
+    seen = [False] * g.h
+    reps = []
+    for i in range(g.h):
+        if seen[i]:
+            continue
+        reps.append(g.elements[i])
+        for s in squares:
+            seen[t[i][s]] = True
+    return len(reps), reps
+
+
+def test_generator_extension_matches_cayley_table():
+    for dv in range(-3, -2001, -1):
+        if dv % 4 not in (0, 1):
+            continue
+        g = class_group(Discriminant(dv))
+        assert g.structure == _invariant_factors(g.table, 0), dv
+        assert two_torsion(g) == _table_two_torsion(g), dv
+        assert cl_mod_squares(g) == _table_cl_mod_squares(g), dv
+
+
+def test_exponent_vectors_compose_like_the_table():
+    # coords is a homomorphism onto Z^k / relations: adding the vectors of
+    # two classes lands on their product, modulo the relation rows
+    for dv in (-84, -231, -455, -480, -5460, -1155, -3299):
+        g = class_group(Discriminant(dv))
+        k = len(g.relations)
+        diag = [r[t] for t, r in enumerate(g.relations)]
+
+        def normal(v):
+            # the relation matrix is lower triangular: clear from the last
+            # coordinate down
+            v = list(v)
+            for t in reversed(range(k)):
+                q = v[t] // diag[t]
+                v = [x - q * y for x, y in zip(v, g.relations[t])]
+            return tuple(v)
+
+        assert len({normal(c) for c in g.coords}) == g.h
+        t = g.table
+        for i in range(g.h):
+            for j in range(g.h):
+                s = [x + y for x, y in zip(g.coords[i], g.coords[j])]
+                assert normal(s) == normal(g.coords[t[i][j]])
+
+
+def test_smith_invariants():
+    assert _smith_invariants([]) == []
+    assert _smith_invariants([[6]]) == [6]
+    assert _smith_invariants([[2, 0], [0, 3]]) == [6]
+    assert _smith_invariants([[4, 0], [-2, 2]]) == [2, 4]
+    assert _smith_invariants([[2, 0, 0], [0, 4, 0], [0, 0, 6]]) == [2, 2, 12]
+    assert _smith_invariants([[12, 0], [-6, 2]]) == [2, 12]
+    assert _smith_invariants([[0, 3], [5, 0]]) == [15]
+    assert _smith_invariants([[2, 4], [-2, 4]]) == [2, 8]
+
+    # against the determinantal divisors: n1*...*nj = gcd of the j x j minors
+    def det(m):
+        if not m:
+            return 1
+        return sum((-1) ** j * m[0][j] * det([r[:j] + r[j + 1:] for r in m[1:]])
+                   for j in range(len(m)))
+
+    rng = random.Random(4)
+    for _ in range(300):
+        m = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)]
+        if det(m) == 0:
+            continue
+        factors = [1] * (3 - len(_smith_invariants(m))) + _smith_invariants(m)
+        for j in range(1, 4):
+            minors = [det([[m[r][c] for c in cols] for r in rows])
+                      for rows in itertools.combinations(range(3), j)
+                      for cols in itertools.combinations(range(3), j)]
+            assert math.prod(factors[:j]) == math.gcd(*minors), m
+
+
+def test_class_group_composes_about_h_times(monkeypatch):
+    calls = []
+    crt = classgroup.compose_crt
+
+    def counted(f, g):
+        calls.append(1)
+        return crt(f, g)
+
+    monkeypatch.setattr(classgroup, "compose_crt", counted)
+    for dv in (-4000003, -4, -23, -84, -455, -30011, -5460):
+        calls.clear()
+        g = class_group(Discriminant(dv))
+        two_torsion(g)
+        cl_mod_squares(g)
+        assert len(calls) <= 2 * g.h, dv
+        assert g._table is None
+    calls.clear()
+    assert len(g.table) == g.h and len(calls) == g.h * (g.h + 1) // 2
+
+
+def test_large_class_group_within_time_bound():
+    t0 = time.monotonic()
+    g = class_group(Discriminant(-4000003))
+    order, reps = cl_mod_squares(g)
+    elapsed = time.monotonic() - t0
+    assert g.h == 248
+    assert g.structure == [2, 124]
+    assert order == len(two_torsion(g)) == 4
+    assert elapsed < 5.0, f"class_group(-4000003) took {elapsed:.1f}s"

@@ -148,6 +148,13 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1
     assert "primitive" in json.loads(err)["error"]
 
+    code, out, err = run_cli(capsys, "form-action", "-d", "-23", "[[1,0],[0,1]]", "(1,1,7)")
+    assert code == 1
+    assert out == ""
+    env = json.loads(err)
+    assert env["command"] == "form-action"
+    assert env["error"] == "form (1,1,7) has discriminant -27, expected -23"
+
 
 def test_usage_errors_exit_2(capsys):
     code, out, err = run_cli(capsys, "compose", "-d", "-23", "(2,1,3)")

@@ -111,6 +111,35 @@ def test_class_number_against_bruteforce():
         assert len(enumerate_reduced(d)) == _count_reduced_bruteforce(dv)
 
 
+def _enumerate_reduced_scan(disc):
+    # the a-major (a, b) scan enumerate_reduced used before its b-major
+    # loop, kept as an oracle for the exact output order
+    d = disc.d
+    out = []
+    for a in range(1, math.isqrt(-d // 3) + 1):
+        for b in range(-a + 1, a + 1):
+            if (b - d) % 2:
+                continue
+            num = b * b - d
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a or (a == c and b < 0):
+                continue
+            if math.gcd(a, math.gcd(b, c)) != 1:
+                continue
+            out.append((a, b, c))
+    return out
+
+
+def test_enumerate_matches_ab_scan():
+    for dv in range(-3, -6001, -1):
+        if dv % 4 not in (0, 1):
+            continue
+        d = Discriminant(dv)
+        assert [f.triple() for f in enumerate_reduced(d)] == _enumerate_reduced_scan(d), dv
+
+
 def test_classical_class_numbers():
     known = {-3: 1, -4: 1, -23: 3, -47: 5, -71: 7, -84: 4, -163: 1, -20: 2}
     for dv, h in known.items():
