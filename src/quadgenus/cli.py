@@ -3,7 +3,9 @@
 Every run prints a single envelope. JSON output serializes all numbers as
 decimal strings so arbitrary precision survives any consumer; identical
 inputs give byte-identical output. Errors go to stderr as an envelope,
-exit code 1 for domain errors and 2 for usage errors.
+exit code 1 for domain errors, 2 for usage errors and 3 for internal
+errors (any other fault inside the library, such as a broken invariant),
+whose message names the library module that raised it.
 """
 
 from __future__ import annotations
@@ -287,6 +289,18 @@ def build_parser() -> _Parser:
 _parser = functools.cache(build_parser)
 
 
+def _raising_module(exc) -> str:
+    """The innermost library module the exception's traceback passes through."""
+    name = __name__
+    tb = exc.__traceback__
+    while tb is not None:
+        module = tb.tb_frame.f_globals.get("__name__", "")
+        if module.startswith(__package__ + "."):
+            name = module
+        tb = tb.tb_next
+    return name
+
+
 def _json(envelope) -> str:
     return json.dumps(_stringify(envelope), separators=(",", ":"))
 
@@ -309,9 +323,13 @@ def main(argv=None) -> int:
             raise UsageError("a subcommand is required (try --help)")
         disc = Discriminant(args.d) if "d" in args else None
         result, lines = args.fn(args, disc)
-    except (UsageError, ValueError) as exc:
-        print(_json({"status": "error", "command": command, "error": str(exc)}), file=sys.stderr)
-        return 2 if isinstance(exc, UsageError) else 1
+    except Exception as exc:
+        if isinstance(exc, (UsageError, ValueError)):
+            code, error = (2 if isinstance(exc, UsageError) else 1), str(exc)
+        else:
+            code, error = 3, f"internal error in {_raising_module(exc)}: {exc}"
+        print(_json({"status": "error", "command": command, "error": error}), file=sys.stderr)
+        return code
     if fmt == "json":
         print(_json({"status": "ok", "command": command, "result": result}))
     else:

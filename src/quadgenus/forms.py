@@ -51,19 +51,8 @@ class BinaryForm:
         self.c = c
         self.disc = disc
 
-    @classmethod
-    def from_ab(cls, a: int, b: int, disc: Discriminant) -> BinaryForm:
-        num = b * b - disc.d
-        if a <= 0 or num % (4 * a):
-            raise DomainError(f"no form ({a},{b},*) of discriminant {disc.d}")
-        return cls(a, b, num // (4 * a), disc)
-
     def triple(self) -> tuple[int, int, int]:
         return self.a, self.b, self.c
-
-    def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        return abs(b) <= a <= c and (b >= 0 or (abs(b) != a and a != c))
 
     def inverse(self) -> BinaryForm:
         return form_inverse(self)

@@ -3,7 +3,11 @@
 A tuple (a_1, ..., a_m) of order elements stands for the linear polynomial
 a_1*z_1 + ... + a_m*z_m and spans a sublattice of the order. All lattice
 work happens in exact integer coordinates over the basis (1, omega),
-omega = (d - sqrt(d))/2.
+omega = (d - sqrt(d))/2: the canonical basis is the 2-column Hermite
+normal form of the generators' coordinate rows, computed on rows
+[u, v, c_1, ..., c_m] that carry the generator combination along
+(Cohen, GTM 138, 2.4.2). contains and solve_transform share one
+back-substitution against that basis.
 
 Integer matrices act on the variables: row j of a matrix h is the image of
 z_j, so a transform sends the coefficient tuple (a_1, ..., a_m) to the
@@ -85,28 +89,36 @@ class GenTuple:
 class ZModuleBasis:
     """Canonical triangular basis of the lattice a generator tuple spans.
 
-    rank 2: rows are (n*1, u + v*omega) with n > 0, v > 0, 0 <= u < n.
+    Stored as integer coordinate rows (u, v), each the element u + v*omega:
+    rank 2: rows (n, 0) and (u, v) with n > 0, v > 0, 0 <= u < n.
     rank 1: the single row is sign-normalized (v > 0, or u > 0 when v = 0).
     rank 0: no rows. Equal lattices yield identical bases.
     """
 
-    __slots__ = ("disc", "rank", "rows")
+    __slots__ = ("disc", "_coords")
 
-    def __init__(self, disc: Discriminant, rows: tuple[QuadInt, ...]):
+    def __init__(self, disc: Discriminant, coords: tuple[tuple[int, int], ...]):
         self.disc = disc
-        self.rows = rows
-        self.rank = len(rows)
+        self._coords = coords
+
+    @property
+    def rank(self) -> int:
+        return len(self._coords)
+
+    @property
+    def rows(self) -> tuple[QuadInt, ...]:
+        return tuple(QuadInt.from_coords(u, v, self.disc) for u, v in self._coords)
 
     def coord_rows(self) -> tuple[tuple[int, int], ...]:
-        return tuple(r.coords() for r in self.rows)
+        return self._coords
 
     def __eq__(self, other):
         if isinstance(other, ZModuleBasis):
-            return self.disc.d == other.disc.d and self.coord_rows() == other.coord_rows()
+            return self.disc.d == other.disc.d and self._coords == other._coords
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.disc.d, self.coord_rows()))
+        return hash((self.disc.d, self._coords))
 
     def __repr__(self):
         inner = ", ".join(str(r) for r in self.rows)
@@ -126,108 +138,76 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def _comb(x, r, y, s):
+    """The row combination x*r + y*s."""
+    return [x * a + y * b for a, b in zip(r, s)]
+
+
 def _hnf_core(coords, m):
-    """Triangular basis with provenance.
+    """Triangular basis with provenance: (int_row, omega_row).
 
-    Returns (int_part, omega_part) where int_part is (n, comb) spanning
-    L intersect Z (n > 0) or None, and omega_part is (u, v, comb) with the
-    least positive omega-coordinate v (0 <= u < n when int_part exists) or
-    None. Each comb is the integer combination of the input generators
-    producing that basis row.
+    A row [u, v, c_1, ..., c_m] is the element u + v*omega together with
+    the combination sum c_j * z_j of the m generators that produces it.
+    int_row = [n, 0, ...] spans L intersect Z (n > 0); omega_row has the
+    least positive v, and 0 <= u < n when n > 0. A missing row is all
+    zeros.
     """
-    n = 0
-    comb_n = None
-    ovec = None  # (u, v, comb)
-
-    def fold_int(u, comb):
-        nonlocal n, comb_n
-        if u == 0:
-            return
-        if n == 0:
-            if u < 0:
-                u, comb = -u, [-c for c in comb]
-            n, comb_n = u, comb
-            return
-        g, x, y = _xgcd(n, u)
-        # Z*n + Z*u = Z*g, so the gcd row alone spans the integer part
-        n, comb_n = g, [x * a + y * b for a, b in zip(comb_n, comb)]
-
+    int_row = [0] * (m + 2)
+    omega_row = [0] * (m + 2)
     for j, (u, v) in enumerate(coords):
-        comb = [0] * m
-        comb[j] = 1
-        if v == 0:
-            fold_int(u, comb)
-            continue
-        if ovec is None:
-            ovec = (u, v, comb)
-            continue
-        u0, v0, c0 = ovec
-        g, x, y = _xgcd(v0, v)
-        merged = (x * u0 + y * u, g, [x * a + y * b for a, b in zip(c0, comb)])
-        # eliminate: (v//g)*ovec - (v0//g)*new has zero omega-part
-        s, t = v // g, v0 // g
-        elim_u = s * u0 - t * u
-        elim_c = [s * a - t * b for a, b in zip(c0, comb)]
-        ovec = merged
-        fold_int(elim_u, elim_c)
-
-    if ovec is not None:
-        u, v, c = ovec
-        if v < 0:
-            u, v, c = -u, -v, [-a for a in c]
-        if n:
-            k = u // n
-            if k:
-                u -= k * n
-                c = [a - k * b for a, b in zip(c, comb_n)]
-        ovec = (u, v, c)
-    int_part = (n, comb_n) if n else None
-    return int_part, ovec
+        row = [u, v] + [0] * m
+        row[2 + j] = 1
+        if v:
+            v0 = omega_row[1]
+            if not v0:
+                omega_row = row
+                continue
+            g, x, y = _xgcd(v0, v)
+            # the gcd row replaces omega_row; (v/g)*omega_row - (v0/g)*row
+            # has zero omega-part and joins the integer part
+            merged = _comb(x, omega_row, y, row)
+            row = _comb(v // g, omega_row, -(v0 // g), row)
+            omega_row = merged
+        if row[0]:
+            # Z*n + Z*u = Z*g (g = |u| while n = 0): the gcd row spans L intersect Z
+            g, x, y = _xgcd(int_row[0], row[0])
+            int_row = _comb(x, int_row, y, row)
+    # v > 0, then u reduced modulo n
+    sign = -1 if omega_row[1] < 0 else 1
+    k = sign * omega_row[0] // int_row[0] if int_row[0] else 0
+    return int_row, _comb(sign, omega_row, -k, int_row)
 
 
 def hnf_basis(x: GenTuple) -> ZModuleBasis:
     """Canonical triangular basis of the lattice x spans."""
-    int_part, ovec = _hnf_core(x.coords(), x.m)
-    rows = []
-    if ovec is not None:
-        rows.append(QuadInt.from_coords(ovec[0], ovec[1], x.disc))
-    if int_part is not None:
-        rows.append(QuadInt.from_coords(int_part[0], 0, x.disc))
-    # present the integer row first, like the usual [a, xi] ideal notation
-    rows.reverse()
-    return ZModuleBasis(x.disc, tuple(rows))
+    # the integer row first, like the usual [a, xi] ideal notation
+    rows = _hnf_core(x.coords(), x.m)
+    return ZModuleBasis(x.disc, tuple((r[0], r[1]) for r in rows if r[0] or r[1]))
 
 
-def _solve_coords(int_part, ovec, target):
-    """Express target = k1 * int_row + k2 * omega_row, or None."""
+def _solve_coords(int_row, omega_row, target):
+    """Generator combination producing target = (s, t), or None.
+
+    Back-substitutes t against omega_row, then s against int_row.
+    """
     s, t = target
-    if ovec is not None:
-        u, v, _ = ovec
-        if t % v:
-            return None
-        k2 = t // v
-        s = s - k2 * u
-    else:
-        if t != 0:
-            return None
-        k2 = 0
-    if int_part is not None:
-        n, _ = int_part
-        if s % n:
-            return None
-        k1 = s // n
-    else:
-        if s != 0:
-            return None
-        k1 = 0
-    return k1, k2
+    k2 = 0
+    if omega_row[1]:
+        k2, t = divmod(t, omega_row[1])
+        s -= k2 * omega_row[0]
+    k1 = 0
+    if int_row[0]:
+        k1, s = divmod(s, int_row[0])
+    if s or t:
+        return None
+    return _comb(k1, int_row, k2, omega_row)[2:]
 
 
 def contains(x: GenTuple, y: GenTuple) -> bool:
     """True iff the lattice of y lies inside the lattice of x."""
     _check_same_disc(x.disc, y.disc)
-    int_part, ovec = _hnf_core(x.coords(), x.m)
-    return all(_solve_coords(int_part, ovec, c) is not None for c in y.coords())
+    int_row, omega_row = _hnf_core(x.coords(), x.m)
+    return all(_solve_coords(int_row, omega_row, c) is not None for c in y.coords())
 
 
 def solve_transform(x: GenTuple, y: GenTuple) -> tuple[tuple[int, ...], ...]:
@@ -241,23 +221,14 @@ def solve_transform(x: GenTuple, y: GenTuple) -> tuple[tuple[int, ...], ...]:
     """
     _check_same_disc(x.disc, y.disc)
     m = max(x.m, y.m)
-    x, y = x.padded(m), y.padded(m)
-    int_part, ovec = _hnf_core(x.coords(), x.m)
+    int_row, omega_row = _hnf_core(x.coords(), m)
     cols = []
-    for c in y.coords():
-        ks = _solve_coords(int_part, ovec, c)
-        if ks is None:
+    for c in y.padded(m).coords():
+        col = _solve_coords(int_row, omega_row, c)
+        if col is None:
             raise DomainError("not a submodule")
-        k1, k2 = ks
-        col = [0] * m
-        if int_part is not None and k1:
-            for j, a in enumerate(int_part[1]):
-                col[j] += k1 * a
-        if ovec is not None and k2:
-            for j, a in enumerate(ovec[2]):
-                col[j] += k2 * a
         cols.append(col)
-    return tuple(tuple(cols[i][j] for i in range(m)) for j in range(m))
+    return tuple(zip(*cols))
 
 
 def check_matrix(h, m: int | None = None) -> tuple[tuple[int, ...], ...]:
@@ -278,16 +249,11 @@ def check_matrix(h, m: int | None = None) -> tuple[tuple[int, ...], ...]:
 def apply_transform(h, x: GenTuple) -> GenTuple:
     """Substitute z_j -> sum_i h[j][i] z_i in the linear polynomial of x."""
     rows = check_matrix(h, x.m)
-    m = x.m
+    coords = x.coords()
     out = []
-    for i in range(m):
-        u = v = 0
-        for j, a in enumerate(x.coeffs):
-            e = rows[j][i]
-            if e:
-                cu, cv = a.coords()
-                u += e * cu
-                v += e * cv
+    for col in zip(*rows):
+        u = sum(e * cu for e, (cu, _) in zip(col, coords))
+        v = sum(e * cv for e, (_, cv) in zip(col, coords))
         out.append(QuadInt.from_coords(u, v, x.disc))
     return GenTuple(out, x.disc)
 

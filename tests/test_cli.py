@@ -231,3 +231,17 @@ def test_console_entry_point():
     assert bad.returncode == 1
     assert bad.stdout == ""
     assert json.loads(bad.stderr)["status"] == "error"
+
+
+def test_internal_error_exit_3(capsys, monkeypatch):
+    def broken(*args):
+        raise AssertionError("composite B invariant broken")
+
+    monkeypatch.setattr("quadgenus.forms.composition_b", broken)
+    code, out, err = run_cli(capsys, "compose", "-d", "-23", "(2,1,3)", "(2,1,3)")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        '{"status":"error","command":"compose",'
+        '"error":"internal error in quadgenus.forms: composite B invariant broken"}\n'
+    )

@@ -291,3 +291,53 @@ def test_module_mul_commutes_associates():
         assert modules_equal(
             module_mul(module_mul(x, y), z), module_mul(x, module_mul(y, z))
         )
+
+
+def _from_coords(*pairs, d=D23):
+    return GenTuple([QuadInt.from_coords(u, v, d) for u, v in pairs], d)
+
+
+# exact solver outputs, one case per shape of the source's triangular basis:
+# (source coords, target coords, basis coord rows, matrix or None when the
+# target is not a submodule)
+SOLVE_CASES = [
+    # rank 0
+    (((0, 0), (0, 0), (0, 0)), ((0, 0), (0, 0), (0, 0)), (),
+     ((0, 0, 0), (0, 0, 0), (0, 0, 0))),
+    (((0, 0), (0, 0)), ((0, 0), (1, 0)), (), None),
+    # rank 1, integer-only, including a negative first generator
+    (((6, 0), (-4, 0)), ((2, 0), (-8, 0)), ((2, 0),), ((-1, 4), (-2, 8))),
+    (((-6, 0), (0, 0), (10, 0)), ((4, 0), (0, 0), (-2, 0)), ((2, 0),),
+     ((-4, 0, 2), (0, 0, 0), (-2, 0, 1))),
+    (((6, 0), (-4, 0)), ((1, 0), (0, 0)), ((2, 0),), None),
+    # rank 1, omega-only and a line through omega, sign-normalized to v > 0
+    (((0, -3), (0, 6)), ((0, 3), (0, -9)), ((0, 3),), ((1, -3), (1, -3))),
+    (((-24, -2), (48, 4)), ((24, 2), (-72, -6)), ((24, 2),), ((1, -3), (1, -3))),
+    (((-24, -2), (48, 4)), ((24, 1), (0, 0)), ((24, 2),), None),
+    # rank 2
+    (((4, 0), (12, 2), (7, 3)), ((1, 1), (0, 0), (6, -2)), ((2, 0), (1, 1)),
+     ((-15, 0, 10), (8, 0, -4), (-5, 0, 2))),
+    (((4, 0), (12, 2), (7, 3)), ((1, 1), (0, 0), (5, -2)), ((2, 0), (1, 1)), None),
+    (((3, 5), (-2, 7)), ((13, 1), (-1, -12)), ((31, 0), (13, 1)), ((3, -1), (-2, -1))),
+    # source and target of unequal length
+    (((2, 0), (1, 1), (0, 3)), ((3, 1),), ((1, 0), (0, 1)),
+     ((-2, 0, 0), (7, 0, 0), (-2, 0, 0))),
+    (((1, 0), (0, 1)), ((2, 0), (12, 1), (4, 0), (-5, -7)), ((1, 0), (0, 1)),
+     ((2, 12, 4, -5), (0, 1, 0, -7), (0, 0, 0, 0), (0, 0, 0, 0))),
+    (((0, 0),), ((0, 0), (0, 0), (0, 0)), (), ((0, 0, 0), (0, 0, 0), (0, 0, 0))),
+]
+
+
+@pytest.mark.parametrize("src,dst,basis,expected", SOLVE_CASES)
+def test_solve_exact_outputs(src, dst, basis, expected):
+    x, y = _from_coords(*src), _from_coords(*dst)
+    assert hnf_basis(x).coord_rows() == basis
+    assert contains(x, y) == (expected is not None)
+    if expected is None:
+        with pytest.raises(DomainError, match="not a submodule"):
+            solve_transform(x, y)
+        return
+    h = solve_transform(x, y)
+    assert h == expected
+    m = max(x.m, y.m)
+    assert apply_transform(h, x.padded(m)) == y.padded(m)
