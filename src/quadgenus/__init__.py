@@ -5,101 +5,24 @@ multi-variable norm forms with matrix actions, binary quadratic form
 composition by two independent routes (congruences and explicit matrix
 substitution), standard-basis ideals, and class groups with two-torsion
 and genus quotients.
+
+Each module's __all__ is its public API; the package re-exports them all.
 """
 
-from .arith import Discriminant, DomainError, QuadInt, factorize
-from .classgroup import (
-    ClassGroup,
-    cl_mod_squares,
-    class_group,
-    genus_count_from_factorization,
-    two_torsion,
-)
-from .forms import (
-    BinaryForm,
-    compose_crt,
-    coprime_equivalent,
-    enumerate_reduced,
-    form_inverse,
-    is_concordant,
-    is_equivalent,
-    principal_form,
-    reduce_form,
-)
-from .ideals import (
-    OrderIdeal,
-    compose_via_matrices,
-    form_to_ideal,
-    h_alpha,
-    ideal_mul,
-    ideal_to_form,
-    tau_pair,
-)
-from .lattice import (
-    GenTuple,
-    ZModuleBasis,
-    apply_transform,
-    contains,
-    hnf_basis,
-    identity_matrix,
-    mat_mul,
-    module_mul,
-    modules_equal,
-    solve_transform,
-)
-from .normforms import (
-    MultiQuadraticForm,
-    factor_witness,
-    form_action,
-    integral_tuple,
-    norm_form,
-    principal_norm_form,
-    represent_from_fo,
-)
+from .arith import *
+from .lattice import *
+from .normforms import *
+from .forms import *
+from .ideals import *
+from .classgroup import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Discriminant",
-    "DomainError",
-    "QuadInt",
-    "factorize",
-    "GenTuple",
-    "ZModuleBasis",
-    "hnf_basis",
-    "contains",
-    "solve_transform",
-    "apply_transform",
-    "modules_equal",
-    "module_mul",
-    "identity_matrix",
-    "mat_mul",
-    "MultiQuadraticForm",
-    "norm_form",
-    "form_action",
-    "factor_witness",
-    "represent_from_fo",
-    "integral_tuple",
-    "principal_norm_form",
-    "BinaryForm",
-    "reduce_form",
-    "enumerate_reduced",
-    "principal_form",
-    "form_inverse",
-    "is_equivalent",
-    "compose_crt",
-    "is_concordant",
-    "coprime_equivalent",
-    "OrderIdeal",
-    "form_to_ideal",
-    "ideal_to_form",
-    "ideal_mul",
-    "h_alpha",
-    "tau_pair",
-    "compose_via_matrices",
-    "ClassGroup",
-    "class_group",
-    "two_torsion",
-    "cl_mod_squares",
-    "genus_count_from_factorization",
-]
+__all__ = (
+    arith.__all__
+    + lattice.__all__
+    + normforms.__all__
+    + forms.__all__
+    + ideals.__all__
+    + classgroup.__all__
+)

@@ -4,6 +4,9 @@ An element is stored as (p + q*sqrt(d))/2 with p = q*d (mod 2); the set of
 such elements is exactly the order of discriminant d, so addition,
 multiplication and conjugation are closed and every norm and trace is a
 plain integer. All integers are arbitrary precision and nothing rounds.
+
+The module is also the home of the integer helpers every other module
+uses: the extended gcd, the Baillie-PSW primality test and factorization.
 """
 
 from __future__ import annotations
@@ -18,43 +21,89 @@ class DomainError(ValueError):
     discriminants, imprimitive form, and so on)."""
 
 
-# --- integer factorization ---------------------------------------------------
+# --- integer helpers ---------------------------------------------------------
 #
-# Trial division handles everything desk scale; Brent's variant of the
-# Pollard rho cycle finder takes over for the occasional large cofactor.
+# Trial division handles everything desk scale, Brent's variant of Pollard
+# rho the occasional large cofactor, and Baillie-PSW decides primality.
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a, n = n % a, a
+    return t if n == 1 else 0
 
 
 def _is_probable_prime(n: int) -> bool:
+    """Baillie-PSW: a strong probable-prime test to base 2, then a strong
+    Lucas test with Selfridge's parameters P = 1, Q = (1 - D)/4, D the
+    first of 5, -7, 9, -11, ... with (D/n) = -1 (Baillie-Wagstaff, "Lucas
+    pseudoprimes", Math. Comp. 35, 1980). No composite passing both is
+    known, and there is none below 2^64."""
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in (2, 3, 5, 7, 11, 13):
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    # deterministic for n < 3.3 * 10^24 with these witnesses
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    x = pow(2, (n - 1) >> s, n)
+    if x != 1 and x != n - 1:
+        for _ in range(s - 1):
             x = x * x % n
             if x == n - 1:
                 break
         else:
             return False
-    return True
+    if math.isqrt(n) ** 2 == n:  # no D exists for a square
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    # U_k, V_k, Q^k by the binary ladder over n + 1 = d * 2^s, d odd
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    u, v, qk = 1, 1, Q % n
+    for bit in bin((n + 1) >> s)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            # U_{k+1}, V_{k+1} = (U_k + V_k)/2, (D*U_k + V_k)/2, halved mod odd n
+            u, v = u + v, D * u + v
+            u, v = (u + n * (u & 1)) // 2 % n, (v + n * (v & 1)) // 2 % n
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def _brent_rho(n: int) -> int:
     # n odd composite, no factor below the trial-division bound
-    if n % 2 == 0:
-        return 2
     seed = 1
     while True:
         y, c, m = seed, seed + 1, 128
@@ -88,21 +137,15 @@ def factorize(n: int) -> dict[int, int]:
     if n <= 1:
         return {}
     out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    p = 41
+    p = 2
     while p * p <= n and p < 10_000:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-        p += 2
+        p += 1 if p == 2 else 2
     stack = [n] if n > 1 else []
     while stack:
         n = stack.pop()
-        if n == 1:
-            continue
         if _is_probable_prime(n):
             out[n] = out.get(n, 0) + 1
             continue
@@ -142,6 +185,8 @@ class Discriminant:
     __slots__ = ("d", "_split")
 
     def __init__(self, d: int):
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise DomainError(f"discriminant must be an integer, got {d!r}")
         if d >= 0:
             raise DomainError(f"discriminant must be negative, got {d}")
         if d % 4 not in (0, 1):

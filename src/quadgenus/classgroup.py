@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 
-from .arith import Discriminant, factorize
+from .arith import Discriminant, _xgcd, factorize
 from .forms import BinaryForm, compose_crt, enumerate_reduced, principal_form, reduce_form
-from .lattice import _xgcd
 
 __all__ = [
     "ClassGroup",

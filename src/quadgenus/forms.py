@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .arith import DomainError, Discriminant, _check_same_disc
-from .lattice import _xgcd
+from .arith import DomainError, Discriminant, _check_same_disc, _xgcd
 
 __all__ = [
     "BinaryForm",
@@ -25,7 +24,6 @@ __all__ = [
     "is_equivalent",
     "compose_crt",
     "is_concordant",
-    "composition_b",
     "coprime_equivalent",
 ]
 

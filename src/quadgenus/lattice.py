@@ -17,7 +17,7 @@ matrix product g @ h (see mat_mul).
 
 from __future__ import annotations
 
-from .arith import DomainError, Discriminant, QuadInt, _check_same_disc
+from .arith import DomainError, Discriminant, QuadInt, _check_same_disc, _xgcd
 
 __all__ = [
     "GenTuple",
@@ -30,7 +30,6 @@ __all__ = [
     "module_mul",
     "identity_matrix",
     "mat_mul",
-    "check_matrix",
 ]
 
 
@@ -123,19 +122,6 @@ class ZModuleBasis:
     def __repr__(self):
         inner = ", ".join(str(r) for r in self.rows)
         return f"ZModuleBasis[{inner}; d={self.disc.d}]"
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
 
 
 def _comb(x, r, y, s):

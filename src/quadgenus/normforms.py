@@ -31,10 +31,13 @@ class MultiQuadraticForm:
     def __init__(self, m: int, coeffs: dict, disc: Discriminant):
         self.m = m
         self.disc = disc
-        full = {}
-        for i in range(m):
-            for j in range(i, m):
-                full[(i, j)] = int(coeffs.get((i, j), 0))
+        full = {(i, j): 0 for i in range(m) for j in range(i, m)}
+        for key, c in coeffs.items():
+            if key not in full:
+                raise DomainError(f"coefficient key {key} is outside 0 <= i <= j < {m}")
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise DomainError(f"coefficient {key} must be an integer, got {c!r}")
+            full[key] = c
         self.coeffs = full
 
     def coeff(self, i: int, j: int) -> int:
@@ -148,8 +151,14 @@ def integral_tuple(disc: Discriminant, m: int = 2) -> GenTuple:
 
 
 def principal_norm_form(disc: Discriminant, m: int = 2) -> MultiQuadraticForm:
-    """Norm form of the order: x^2 + d*xy + ((d^2-d)/4)*y^2, zero-padded."""
-    return norm_form(integral_tuple(disc, m))
+    """Norm form of the order: x^2 + d*xy + ((d^2-d)/4)*y^2, zero-padded.
+
+    Written down from d, so the matrix composition route that starts from
+    it shares no norm-form code with ideal_to_form."""
+    if m < 2:
+        raise DomainError("the order needs at least two generators")
+    d = disc.d
+    return MultiQuadraticForm(m, {(0, 0): 1, (0, 1): d, (1, 1): (d * d - d) // 4}, disc)
 
 
 def represent_from_fo(f_source: GenTuple):

@@ -3,7 +3,7 @@ import random
 import pytest
 import sympy
 
-from quadgenus.arith import Discriminant, DomainError, QuadInt, factorize
+from quadgenus.arith import Discriminant, DomainError, QuadInt, _is_probable_prime, factorize
 
 
 def test_discriminant_validation():
@@ -17,6 +17,11 @@ def test_discriminant_validation():
         Discriminant(-6)
     Discriminant(-3)
     Discriminant(-4)
+
+
+def test_discriminant_rejects_non_int():
+    with pytest.raises(DomainError, match="integer"):
+        Discriminant(-3.0)
 
 
 @pytest.mark.parametrize(
@@ -67,6 +72,30 @@ def test_factorize_against_sympy():
     # a couple of larger composites for the rho path
     assert factorize(10**16 + 61) == dict(sympy.factorint(10**16 + 61))
     assert factorize((10**9 + 7) * (10**9 + 9)) == {10**9 + 7: 1, 10**9 + 9: 1}
+
+
+# composites that pass the strong test to the 12 prime bases 2..37
+PSI12 = 318665857834031151167461
+PSI13 = 3317044064679887385961981
+
+
+def test_factorize_psi_composites():
+    assert factorize(PSI12) == {399165290221: 1, 798330580441: 1}
+    assert factorize(PSI13) == {1287836182261: 1, 2575672364521: 1}
+
+
+def test_primality_against_sympy():
+    assert [n for n in range(200_000) if _is_probable_prime(n) != sympy.isprime(n)] == []
+    rng = random.Random(12)
+    for _ in range(2000):
+        n = rng.randrange(2, 10 ** rng.randrange(2, 61))
+        assert _is_probable_prime(n) == sympy.isprime(n), n
+    # strong pseudoprimes to base 2 (the third to every prime base up to 31)
+    # and Carmichael numbers
+    for n in (2047, 3215031751, 3825123056546413051, 561, 41041, 321197185, PSI12, PSI13):
+        assert not _is_probable_prime(n), n
+    for p in (2**61 - 1, 2**127 - 1, 10**16 + 61):
+        assert _is_probable_prime(p) and not _is_probable_prime(p * p)
 
 
 def test_parity_invariant_enforced():

@@ -130,6 +130,11 @@ def test_genus_count_small_range():
         assert order == genus_count_from_factorization(g.disc)
 
 
+def test_genus_count_of_a_strong_pseudoprime_discriminant():
+    # d = -4 * 399165290221 * 798330580441 has three prime divisors
+    assert genus_count_from_factorization(Discriminant(-4 * 318665857834031151167461)) == 4
+
+
 def test_two_torsion_equals_genus_order():
     for dv in range(-3, -400, -1):
         if dv % 4 not in (0, 1):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -215,10 +216,13 @@ def test_arbitrary_precision_survives_json(capsys):
 
 
 def test_console_entry_point():
+    # the child runs the checkout's package, installed or not
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "quadgenus", "compose", "-d", "-23", "(2,1,3)", "(2,1,3)"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "(2,-1,3)\n"
@@ -227,6 +231,7 @@ def test_console_entry_point():
         [sys.executable, "-m", "quadgenus", "compose", "-d", "7", "(1,0,1)", "(1,0,1)"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert bad.returncode == 1
     assert bad.stdout == ""

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from quadgenus.arith import Discriminant, DomainError
+from quadgenus.arith import Discriminant, DomainError, _xgcd
 from quadgenus.forms import (
     BinaryForm,
     compose_crt,
@@ -18,7 +18,6 @@ from quadgenus.forms import (
     reduce_form,
 )
 from quadgenus.ideals import compose_via_matrices, form_to_ideal, ideal_mul, ideal_to_form
-from quadgenus.lattice import _xgcd
 from quadgenus.normforms import MultiQuadraticForm, form_action
 
 D23 = Discriminant(-23)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import quadgenus.normforms as normforms
 from quadgenus.arith import Discriminant, DomainError
 from quadgenus.forms import (
     BinaryForm,
@@ -181,6 +182,19 @@ def test_tau_pair_rejects_non_concordant():
     alpha = OrderIdeal(2, 1, D23)
     with pytest.raises(DomainError, match="non-concordant"):
         tau_pair(alpha, alpha.conjugate())
+
+
+def test_compose_via_matrices_needs_no_norm_form_expansion(monkeypatch):
+    # the matrix route must not share ideal_to_form's norm-form expansion
+    def broken(x):
+        raise RuntimeError("norm_form called")
+
+    monkeypatch.setattr(normforms, "norm_form", broken)
+    for dv in (-84, -23):
+        forms = enumerate_reduced(Discriminant(dv))
+        for f in forms:
+            for g in forms:
+                assert compose_via_matrices(f, g) == compose_crt(f, g)
 
 
 def test_compose_via_matrices_square():

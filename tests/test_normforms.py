@@ -173,3 +173,15 @@ def test_multiform_equality_and_str():
     assert f == g
     assert str(f) == "+4*z1^2 +2*z1*z2 +6*z2^2"
     assert f.coeff(1, 0) == 2
+
+
+def test_multiform_rejects_keys_outside_the_triangle():
+    with pytest.raises(DomainError, match="outside"):
+        MultiQuadraticForm(2, {(1, 0): 5, (0, 2): 7}, D23)
+
+
+def test_multiform_rejects_non_int_coefficients():
+    with pytest.raises(DomainError, match="integer"):
+        MultiQuadraticForm(2, {(0, 0): 2.5}, D23)
+    with pytest.raises(DomainError, match="integer"):
+        MultiQuadraticForm(2, {(0, 1): True}, D23)

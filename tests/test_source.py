@@ -14,3 +14,31 @@ def test_no_bare_assert_in_library():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _imported_modules(name):
+    """Every module an import statement of src/quadgenus/<name> names."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / name).read_text(), name)):
+        if isinstance(node, ast.ImportFrom):
+            found.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_forms_imports_only_arith():
+    assert _imported_modules("forms.py") - {"__future__", "math"} == {".arith"}
+
+
+def test_classgroup_does_not_import_lattice():
+    assert ".lattice" not in _imported_modules("classgroup.py")
+
+
+def test_package_all_is_the_module_lists():
+    modules = ("arith", "lattice", "normforms", "forms", "ideals", "classgroup")
+    names = [n for mod in modules for n in getattr(quadgenus, mod).__all__]
+    assert quadgenus.__all__ == names
+    assert len(set(names)) == len(names)
+    for n in names:
+        getattr(quadgenus, n)
