@@ -237,6 +237,8 @@ class QuadInt:
     __slots__ = ("p", "q", "disc")
 
     def __init__(self, p: int, q: int, disc: Discriminant):
+        if type(p) is not int or type(q) is not int:
+            raise DomainError(f"QuadInt needs integers p and q, got p={p!r}, q={q!r}")
         if (p - q * disc.d) % 2 != 0:
             raise DomainError(
                 f"parity violation: p={p}, q={q} need p = q*d (mod 2) for d={disc.d}"
@@ -341,7 +343,8 @@ class QuadInt:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.q, self.disc.d))
+        # an element equal to an int hashes like it
+        return hash(self.p // 2) if self.q == 0 else hash((self.p, self.q, self.disc.d))
 
     def __repr__(self):
         return f"QuadInt(p={self.p}, q={self.q}, d={self.disc.d})"

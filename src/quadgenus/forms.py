@@ -33,17 +33,17 @@ class BinaryForm:
 
     __slots__ = ("a", "b", "c", "disc")
 
-    def __init__(self, a: int, b: int, c: int, disc: Discriminant, check: bool = True):
-        if check:
-            if b * b - 4 * a * c != disc.d:
-                raise DomainError(
-                    f"form ({a},{b},{c}) has discriminant {b * b - 4 * a * c}, "
-                    f"expected {disc.d}"
-                )
-            if a <= 0:
-                raise DomainError(f"form ({a},{b},{c}) is not positive definite")
-            if math.gcd(a, b, c) != 1:
-                raise DomainError(f"form ({a},{b},{c}) is not primitive")
+    def __init__(self, a: int, b: int, c: int, disc: Discriminant):
+        if type(a) is not int or type(b) is not int or type(c) is not int:
+            raise DomainError(f"form coefficients must be integers, got ({a!r},{b!r},{c!r})")
+        if b * b - 4 * a * c != disc.d:
+            raise DomainError(
+                f"form ({a},{b},{c}) has discriminant {b * b - 4 * a * c}, expected {disc.d}"
+            )
+        if a <= 0:
+            raise DomainError(f"form ({a},{b},{c}) is not positive definite")
+        if math.gcd(a, b, c) != 1:
+            raise DomainError(f"form ({a},{b},{c}) is not primitive")
         self.a = a
         self.b = b
         self.c = c
@@ -88,7 +88,7 @@ def reduce_form(f: BinaryForm):
             q, s = q + k * p, s + k * r
             b, c = b + 2 * k * a, a * k * k + b * k + c
         if not (a > c or (a == c and b < 0)):
-            return BinaryForm(a, b, c, f.disc, check=False), ((p, q), (r, s))
+            return BinaryForm(a, b, c, f.disc), ((p, q), (r, s))
         # x -> y, y -> -x swaps the outer coefficients and negates b
         p, q, r, s = -q, p, -s, r
         a, b, c = c, -b, a
@@ -97,11 +97,11 @@ def reduce_form(f: BinaryForm):
 def principal_form(disc: Discriminant) -> BinaryForm:
     """The identity class: (1, b0, (b0^2 - d)/4) with b0 = d mod 2."""
     b0 = disc.d % 2
-    return BinaryForm(1, b0, (b0 * b0 - disc.d) // 4, disc, check=False)
+    return BinaryForm(1, b0, (b0 * b0 - disc.d) // 4, disc)
 
 
 def form_inverse(f: BinaryForm) -> BinaryForm:
-    return reduce_form(BinaryForm(f.a, -f.b, f.c, f.disc, check=False))[0]
+    return reduce_form(BinaryForm(f.a, -f.b, f.c, f.disc))[0]
 
 
 def is_equivalent(f: BinaryForm, g: BinaryForm) -> bool:
@@ -130,7 +130,7 @@ def enumerate_reduced(disc: Discriminant) -> list[BinaryForm]:
             out.append((a, b, c))
             if 0 < b < a < c:
                 out.append((a, -b, c))
-    return [BinaryForm(a, b, c, disc, check=False) for a, b, c in sorted(out)]
+    return [BinaryForm(a, b, c, disc) for a, b, c in sorted(out)]
 
 
 def is_concordant(f: BinaryForm, g: BinaryForm) -> bool:

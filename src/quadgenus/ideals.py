@@ -5,11 +5,12 @@ gcd(a, b, (b^2-d)/(4a)) = 1; its linear polynomial is
 a*x1 + ((b - sqrt(d))/2)*x2 (same lattice, fixed sign convention).
 b only matters modulo 2a, so equality compares (a, b mod 2a).
 
-The module carries the form <-> ideal dictionary, ideal multiplication
-through the generic lattice product, and the explicit matrix composition
-pipeline: h moving the order onto an ideal, the tau pair moving two ideals
-onto their product, and binary form composition done entirely by matrix
-substitution into the order's own norm form.
+The form <-> ideal dictionary (a, b, c) <-> [a, b] is written down in both
+directions (Cohen, GTM 138, 5.2), so the ideal route's own work is the
+lattice product and HNF in ideal_mul. The module also carries the explicit
+matrix composition pipeline: h moving the order onto an ideal, the tau pair
+moving two ideals onto their product, and binary form composition done
+entirely by matrix substitution into the order's own norm form.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .forms import (
     reduce_form,
 )
 from .lattice import GenTuple, hnf_basis, mat_mul, module_mul
-from .normforms import form_action, norm_form, principal_norm_form
+from .normforms import form_action, principal_norm_form
 
 __all__ = [
     "OrderIdeal",
@@ -44,17 +45,16 @@ class OrderIdeal:
 
     __slots__ = ("a", "b", "disc")
 
-    def __init__(self, a: int, b: int, disc: Discriminant, check: bool = True):
-        if check:
-            if a <= 0:
-                raise DomainError(f"ideal needs a > 0, got {a}")
-            num = b * b - disc.d
-            if num % (4 * a):
-                raise DomainError(
-                    f"invalid ideal [{a}, {b}]: b^2 - d not divisible by 4a"
-                )
-            if math.gcd(a, b, num // (4 * a)) != 1:
-                raise DomainError(f"invalid ideal [{a}, {b}]: not proper/invertible")
+    def __init__(self, a: int, b: int, disc: Discriminant):
+        if type(a) is not int or type(b) is not int:
+            raise DomainError(f"ideal entries must be integers, got [{a!r}, {b!r}]")
+        if a <= 0:
+            raise DomainError(f"ideal needs a > 0, got {a}")
+        num = b * b - disc.d
+        if num % (4 * a):
+            raise DomainError(f"invalid ideal [{a}, {b}]: b^2 - d not divisible by 4a")
+        if math.gcd(a, b, num // (4 * a)) != 1:
+            raise DomainError(f"invalid ideal [{a}, {b}]: not proper/invertible")
         self.a = a
         self.b = b
         self.disc = disc
@@ -71,7 +71,7 @@ class OrderIdeal:
         )
 
     def conjugate(self) -> OrderIdeal:
-        return OrderIdeal(self.a, -self.b, self.disc, check=False)
+        return OrderIdeal(self.a, -self.b, self.disc)
 
     def norm(self) -> int:
         return self.a
@@ -97,22 +97,13 @@ class OrderIdeal:
 
 def form_to_ideal(f: BinaryForm) -> OrderIdeal:
     """The form's class as a standard-basis ideal: (a, b, c) -> [a, b]."""
-    return OrderIdeal(f.a, f.b, f.disc, check=False)
+    return OrderIdeal(f.a, f.b, f.disc)
 
 
 def ideal_to_form(alpha: OrderIdeal) -> BinaryForm:
-    """The form a*x^2 + b*xy + c*y^2: the ideal's norm form scaled by 1/a.
-
-    Computed the long way round, by expanding the norm form of the
-    generator polynomial and dividing out a; exact divisibility checked.
-    """
-    q = norm_form(alpha.gen_tuple())
-    a = alpha.a
-    coeffs = q.binary_triple()
-    if any(x % a for x in coeffs):
-        raise AssertionError("ideal norm form not divisible by a")
-    aa, ab, ac = (x // a for x in coeffs)
-    return BinaryForm(aa, ab, ac, alpha.disc)
+    """[a, b] -> (a, b, c), the inverse of form_to_ideal; the norm form of
+    the ideal's linear polynomial is a times this form (Cohen §5.2)."""
+    return BinaryForm(alpha.a, alpha.b, alpha.c, alpha.disc)
 
 
 def ideal_mul(alpha: OrderIdeal, beta: OrderIdeal) -> tuple[int, OrderIdeal]:

@@ -46,9 +46,11 @@ class GenTuple:
         coeffs = tuple(coeffs)
         if not coeffs:
             raise DomainError("generator tuple needs at least one coefficient")
-        if disc is None:
-            disc = coeffs[0].disc
         for c in coeffs:
+            if not isinstance(c, QuadInt):
+                raise DomainError(f"generator tuple entry {c!r} is not a QuadInt")
+            if disc is None:
+                disc = c.disc
             _check_same_disc(disc, c.disc)
         self.coeffs = coeffs
         self.disc = disc

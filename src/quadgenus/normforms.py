@@ -29,6 +29,8 @@ class MultiQuadraticForm:
     __slots__ = ("m", "disc", "coeffs")
 
     def __init__(self, m: int, coeffs: dict, disc: Discriminant):
+        if type(m) is not int or m < 1:
+            raise DomainError(f"variable count must be an integer >= 1, got {m!r}")
         self.m = m
         self.disc = disc
         full = {(i, j): 0 for i in range(m) for j in range(i, m)}

@@ -243,6 +243,8 @@ def test_c8_norm_multiplicativity_and_roundtrips():
         assert prod.a == a1.a * a2.a
         f1 = ideal_to_form(a1)
         assert (f1.a, f1.b) == (a1.a, a1.b)
+        # the ideal's norm form is a times its form
+        assert norm_form(a1.gen_tuple()).binary_triple() == tuple(a1.a * x for x in f1.triple())
         assert form_to_ideal(f1) == a1
         f2 = ideal_to_form(a2)
         assert form_to_ideal(f2) == a2

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from quadgenus.cli import main
 
 # Every subcommand in text and JSON format plus some error cases, each with
@@ -215,27 +217,41 @@ def test_arbitrary_precision_survives_json(capsys):
     assert int(env["result"]["form"]["d"]) == d
 
 
-def test_console_entry_point():
-    # the child runs the checkout's package, installed or not
+def run_child(*args):
+    """`python *args` in a child that runs the checkout's package, installed or not."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadgenus", "compose", "-d", "-23", "(2,1,3)", "(2,1,3)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_console_entry_point():
+    proc = run_child("-m", "quadgenus", "compose", "-d", "-23", "(2,1,3)", "(2,1,3)")
     assert proc.returncode == 0
     assert proc.stdout == "(2,-1,3)\n"
 
-    bad = subprocess.run(
-        [sys.executable, "-m", "quadgenus", "compose", "-d", "7", "(1,0,1)", "(1,0,1)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    bad = run_child("-m", "quadgenus", "compose", "-d", "7", "(1,0,1)", "(1,0,1)")
     assert bad.returncode == 1
     assert bad.stdout == ""
     assert json.loads(bad.stderr)["status"] == "error"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--range", "-4..-300", "--samples", "4"],
+        ["classgroup", "-d", "-5460", "--format", "json"],
+    ],
+    ids=["verify", "classgroup-json"],
+)
+def test_optimized_mode_changes_nothing(argv):
+    # invariants are explicit checks, not asserts, so -O keeps every output
+    plain = run_child("-m", "quadgenus", *argv)
+    optimized = run_child("-O", "-m", "quadgenus", *argv)
+    assert plain.returncode == 0 and plain.stdout
+    assert (optimized.returncode, optimized.stdout, optimized.stderr) == (
+        plain.returncode,
+        plain.stdout,
+        plain.stderr,
+    )
 
 
 def test_internal_error_exit_3(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -184,17 +185,39 @@ def test_tau_pair_rejects_non_concordant():
         tau_pair(alpha, alpha.conjugate())
 
 
-def test_compose_via_matrices_needs_no_norm_form_expansion(monkeypatch):
-    # the matrix route must not share ideal_to_form's norm-form expansion
+def _forbid_norm_form(monkeypatch):
+    """Make norm_form raise through every module binding of it."""
+    original = normforms.norm_form
+
     def broken(x):
         raise RuntimeError("norm_form called")
 
-    monkeypatch.setattr(normforms, "norm_form", broken)
-    for dv in (-84, -23):
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "quadgenus" and getattr(mod, "norm_form", None) is original:
+            monkeypatch.setattr(mod, "norm_form", broken)
+
+
+def _every_pair(*dvs):
+    for dv in dvs:
         forms = enumerate_reduced(Discriminant(dv))
         for f in forms:
             for g in forms:
-                assert compose_via_matrices(f, g) == compose_crt(f, g)
+                yield f, g
+
+
+def test_compose_via_matrices_needs_no_norm_form_expansion(monkeypatch):
+    # the matrix route writes the order's norm form down; it expands none
+    _forbid_norm_form(monkeypatch)
+    for f, g in _every_pair(-84, -23):
+        assert compose_via_matrices(f, g) == compose_crt(f, g)
+
+
+def test_ideal_route_needs_no_norm_form_expansion(monkeypatch):
+    # ideal_to_form writes the form down, so the ideal route is ideal_mul's HNF
+    _forbid_norm_form(monkeypatch)
+    for f, g in _every_pair(-84, -23):
+        _, prod = ideal_mul(form_to_ideal(f), form_to_ideal(g))
+        assert reduce_form(ideal_to_form(prod))[0] == compose_crt(f, g)
 
 
 def test_compose_via_matrices_square():
