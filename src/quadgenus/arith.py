@@ -174,7 +174,22 @@ def _conductor_split(d: int) -> tuple[int, int]:
     return s // 2, -4 * k
 
 
-class Discriminant:
+class _Value:
+    """Base of the value types: two values are equal when they have the same
+    type and the same _key(), and the key is also what they hash by."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Discriminant(_Value):
     """A negative discriminant d = 0 or 1 (mod 4).
 
     Uniquely d = conductor**2 * fundamental; the split is computed lazily
@@ -185,7 +200,7 @@ class Discriminant:
     __slots__ = ("d", "_split")
 
     def __init__(self, d: int):
-        if not isinstance(d, int) or isinstance(d, bool):
+        if type(d) is not int:
             raise DomainError(f"discriminant must be an integer, got {d!r}")
         if d >= 0:
             raise DomainError(f"discriminant must be negative, got {d}")
@@ -209,13 +224,8 @@ class Discriminant:
     def is_fundamental(self) -> bool:
         return self.conductor == 1
 
-    def __eq__(self, other):
-        if isinstance(other, Discriminant):
-            return self.d == other.d
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("Discriminant", self.d))
+    def _key(self):
+        return self.d
 
     def __repr__(self):
         return f"Discriminant({self.d})"
@@ -226,12 +236,15 @@ def _check_same_disc(a: Discriminant, b: Discriminant) -> None:
         raise DomainError(f"discriminant mismatch: {a.d} vs {b.d}")
 
 
-class QuadInt:
+class QuadInt(_Value):
     """(p + q*sqrt(d))/2 with p = q*d (mod 2).
 
     The parity constraint makes trace p and norm (p^2 - q^2 d)/4 integers
     and the representation closed under ring operations. Values are
-    immutable.
+    immutable. An integer-valued element (q = 0) is the rational integer
+    p/2: it equals that int and every integer-valued element of any order
+    that equals it, so equality stays transitive; arithmetic across orders
+    still raises DomainError.
     """
 
     __slots__ = ("p", "q", "disc")
@@ -331,20 +344,16 @@ class QuadInt:
     def __bool__(self):
         return not self.is_zero()
 
+    def _key(self):
+        return self.p // 2 if self.q == 0 else (self.p, self.q, self.disc.d)
+
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.q == 0 and self.p == 2 * other
-        if isinstance(other, QuadInt):
-            return (
-                self.p == other.p
-                and self.q == other.q
-                and self.disc.d == other.disc.d
-            )
-        return NotImplemented
+            return self._key() == other
+        return _Value.__eq__(self, other)
 
-    def __hash__(self):
-        # an element equal to an int hashes like it
-        return hash(self.p // 2) if self.q == 0 else hash((self.p, self.q, self.disc.d))
+    # defining __eq__ alone would set __hash__ to None
+    __hash__ = _Value.__hash__
 
     def __repr__(self):
         return f"QuadInt(p={self.p}, q={self.q}, d={self.disc.d})"

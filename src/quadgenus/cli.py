@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import random
 import re
@@ -49,13 +50,10 @@ def _parse_form(text: str, disc: Discriminant) -> BinaryForm:
 
 
 def _parse_ideal(text: str, disc: Discriminant) -> OrderIdeal:
-    m = _FORM_RE.match(text.strip())
-    if m:
+    m = _PAIR_RE.fullmatch(text.strip())
+    if not m:
         raise UsageError(f"cannot parse ideal {text!r}, expected \"(a,b)\"")
-    pairs = _parse_pairs(text)
-    if len(pairs) != 1:
-        raise UsageError(f"cannot parse ideal {text!r}, expected \"(a,b)\"")
-    a, b = pairs[0]
+    a, b = (int(g) for g in m.groups())
     return OrderIdeal(a, b, disc)
 
 
@@ -102,7 +100,7 @@ def _stringify(value):
     elif isinstance(value, OrderIdeal):
         value = {"a": value.a, "b": value.b, "d": value.disc.d}
     elif isinstance(value, MultiQuadraticForm):
-        coeffs = [(i, j, c) for (i, j), c in sorted(value.coeffs.items())]
+        coeffs = [(i, j, c) for (i, j), c in value.coeffs.items()]
         value = {"m": value.m, "d": value.disc.d, "coeffs": coeffs}
     if isinstance(value, dict):
         return {k: _stringify(v) for k, v in value.items()}
@@ -220,11 +218,15 @@ def _cmd_verify(args, _disc):
         forms = enumerate_reduced(disc)
         h = len(forms)
         discs += 1
-        all_pairs = [(i, j) for i in range(h) for j in range(i, h)]
-        if len(all_pairs) > samples:
-            all_pairs = rng.sample(all_pairs, samples)
-        for i, j in all_pairs:
-            f, g = forms[i], forms[j]
+        # index k of the pairs (i, j), i <= j, in row-major order; sampling
+        # the indices draws the same pairs as sampling the list of pairs
+        n = h * (h + 1) // 2
+        for k in range(n) if n <= samples else rng.sample(range(n), samples):
+            # counted from the end, the rows have lengths 1, 2, 3, ..., so
+            # pair k lies in row r from the bottom, the row of i = h - 1 - r
+            back = n - 1 - k
+            r = (math.isqrt(8 * back + 1) - 1) // 2
+            f, g = forms[h - 1 - r], forms[h - 1 - back + r * (r + 1) // 2]
             crt = compose_crt(f, g)
             mat = compose_via_matrices(f, g)
             _, prod = ideal_mul(form_to_ideal(f), form_to_ideal(g))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .arith import DomainError, Discriminant, _check_same_disc, _xgcd
+from .arith import DomainError, Discriminant, _Value, _check_same_disc, _xgcd
 
 __all__ = [
     "BinaryForm",
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-class BinaryForm:
+class BinaryForm(_Value):
     """a*x^2 + b*xy + c*y^2, primitive, a > 0, b^2 - 4ac = d < 0."""
 
     __slots__ = ("a", "b", "c", "disc")
@@ -55,13 +55,8 @@ class BinaryForm:
     def inverse(self) -> BinaryForm:
         return form_inverse(self)
 
-    def __eq__(self, other):
-        if isinstance(other, BinaryForm):
-            return self.triple() == other.triple() and self.disc.d == other.disc.d
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.disc.d))
+    def _key(self):
+        return self.a, self.b, self.c  # the triple fixes d
 
     def __repr__(self):
         return f"BinaryForm{self.triple()}"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .arith import DomainError, Discriminant, QuadInt, _check_same_disc
+from .arith import DomainError, Discriminant, QuadInt, _Value, _check_same_disc
 from .forms import (
     BinaryForm,
     composition_b,
@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-class OrderIdeal:
+class OrderIdeal(_Value):
     """Standard-basis ideal [a, (-b + sqrt(d))/2] of the order of
     discriminant d."""
 
@@ -76,17 +76,8 @@ class OrderIdeal:
     def norm(self) -> int:
         return self.a
 
-    def __eq__(self, other):
-        if isinstance(other, OrderIdeal):
-            return (
-                self.disc.d == other.disc.d
-                and self.a == other.a
-                and (self.b - other.b) % (2 * self.a) == 0
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b % (2 * self.a), self.disc.d))
+    def _key(self):
+        return self.a, self.b % (2 * self.a), self.disc.d
 
     def __repr__(self):
         return f"OrderIdeal(a={self.a}, b={self.b}, d={self.disc.d})"

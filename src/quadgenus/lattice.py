@@ -17,7 +17,7 @@ matrix product g @ h (see mat_mul).
 
 from __future__ import annotations
 
-from .arith import DomainError, Discriminant, QuadInt, _check_same_disc, _xgcd
+from .arith import DomainError, Discriminant, QuadInt, _Value, _check_same_disc, _xgcd
 
 __all__ = [
     "GenTuple",
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-class GenTuple:
+class GenTuple(_Value):
     """Ordered tuple of quadratic integers sharing one discriminant.
 
     Zero coefficients are allowed and meaningful (they pad shorter tuples
@@ -71,13 +71,8 @@ class GenTuple:
         zero = QuadInt(0, 0, self.disc)
         return GenTuple(self.coeffs + (zero,) * (m - self.m), self.disc)
 
-    def __eq__(self, other):
-        if isinstance(other, GenTuple):
-            return self.disc.d == other.disc.d and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.disc.d, self.coeffs))
+    def _key(self):
+        return self.disc.d, self.coeffs
 
     def __iter__(self):
         return iter(self.coeffs)
@@ -87,7 +82,7 @@ class GenTuple:
         return f"GenTuple[{inner}; d={self.disc.d}]"
 
 
-class ZModuleBasis:
+class ZModuleBasis(_Value):
     """Canonical triangular basis of the lattice a generator tuple spans.
 
     Stored as integer coordinate rows (u, v), each the element u + v*omega:
@@ -113,13 +108,8 @@ class ZModuleBasis:
     def coord_rows(self) -> tuple[tuple[int, int], ...]:
         return self._coords
 
-    def __eq__(self, other):
-        if isinstance(other, ZModuleBasis):
-            return self.disc.d == other.disc.d and self._coords == other._coords
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.disc.d, self._coords))
+    def _key(self):
+        return self.disc.d, self._coords
 
     def __repr__(self):
         inner = ", ".join(str(r) for r in self.rows)
@@ -229,7 +219,7 @@ def check_matrix(h, m: int | None = None) -> tuple[tuple[int, ...], ...]:
         raise DomainError(f"dimension mismatch: {size}x{size} matrix on {m} variables")
     for r in rows:
         for e in r:
-            if not isinstance(e, int) or isinstance(e, bool):
+            if type(e) is not int:
                 raise DomainError("transform matrix entries must be integers")
     return rows
 

@@ -9,7 +9,7 @@ of transformed tuples.
 
 from __future__ import annotations
 
-from .arith import DomainError, Discriminant, QuadInt
+from .arith import DomainError, Discriminant, QuadInt, _Value
 from .lattice import GenTuple, check_matrix, solve_transform
 
 __all__ = [
@@ -23,8 +23,9 @@ __all__ = [
 ]
 
 
-class MultiQuadraticForm:
-    """sum_{i<=j} c[i,j] * z_i * z_j with integer coefficients."""
+class MultiQuadraticForm(_Value):
+    """sum_{i<=j} c[i,j] * z_i * z_j with integer coefficients; coeffs holds
+    every (i, j) with i <= j, in that order."""
 
     __slots__ = ("m", "disc", "coeffs")
 
@@ -37,7 +38,7 @@ class MultiQuadraticForm:
         for key, c in coeffs.items():
             if key not in full:
                 raise DomainError(f"coefficient key {key} is outside 0 <= i <= j < {m}")
-            if not isinstance(c, int) or isinstance(c, bool):
+            if type(c) is not int:
                 raise DomainError(f"coefficient {key} must be an integer, got {c!r}")
             full[key] = c
         self.coeffs = full
@@ -67,21 +68,12 @@ class MultiQuadraticForm:
             )
         return cls(2, {(0, 0): a, (0, 1): b, (1, 1): c}, disc)
 
-    def __eq__(self, other):
-        if isinstance(other, MultiQuadraticForm):
-            return (
-                self.m == other.m
-                and self.disc.d == other.disc.d
-                and self.coeffs == other.coeffs
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.m, self.disc.d, tuple(sorted(self.coeffs.items()))))
+    def _key(self):
+        return self.m, self.disc.d, tuple(self.coeffs.values())
 
     def __str__(self):
         parts = []
-        for (i, j), c in sorted(self.coeffs.items()):
+        for (i, j), c in self.coeffs.items():
             if c == 0:
                 continue
             var = f"z{i + 1}^2" if i == j else f"z{i + 1}*z{j + 1}"

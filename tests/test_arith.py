@@ -98,6 +98,18 @@ def test_primality_against_sympy():
         assert _is_probable_prime(p) and not _is_probable_prime(p * p)
 
 
+def test_wieferich_squares_are_not_prime():
+    # 1093^2 and 3511^2 are strong probable primes to base 2; only the
+    # perfect-square exit rejects them, as no Selfridge D exists for a square
+    for p in (1093, 3511):
+        assert pow(2, p * p - 1, p * p) == 1
+        assert not _is_probable_prime(p * p)
+
+
+def test_factorize_square_cofactor_above_trial_bound():
+    assert factorize(3 * 10007**2) == {3: 1, 10007: 2}
+
+
 def test_parity_invariant_enforced():
     d = Discriminant(-23)
     with pytest.raises(DomainError):
@@ -207,3 +219,14 @@ def test_int_interop():
     assert w + 1 == QuadInt(-21, -1, d)
     assert 1 - w == QuadInt(25, 1, d)
     assert QuadInt.from_int(7, d) == 7
+
+
+def test_int_valued_equality_is_transitive():
+    a = QuadInt.from_int(3, Discriminant(-23))
+    b = QuadInt.from_int(3, Discriminant(-4))
+    assert a == 3 == b and a == b and hash(a) == hash(b) == hash(3)
+    assert len({a, 3, b}) == len({3, a, b}) == 1
+    # elements that are not rational integers still differ across orders
+    assert QuadInt(0, 2, Discriminant(-23)) != QuadInt(0, 2, Discriminant(-4))
+    with pytest.raises(DomainError):
+        a + b

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,19 @@ def test_verify(capsys):
     assert int(env["result"]["discriminants"]) == 49
 
 
+def test_verify_memory_does_not_grow_with_the_pair_count(capsys):
+    # h = 248 gives 30,876 pairs; one sampled pair must not build them all
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "verify", "--range", "-4000003..-4000003", "--samples", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out == "checked 1 discriminants, 1 pairs, 0 mismatches\n"
+    assert peak < 1_000_000
+
+
 def test_golden_output(capsys):
     mismatched = []
     for case in GOLDEN:
@@ -193,6 +207,12 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert "integers" in json.loads(err)["error"]
+
+    for ideal in ("abc", "(2,1,3)", "(2,1),(2,1)"):
+        code, out, err = run_cli(capsys, "ideal2form", "-d", "-23", ideal)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == f"cannot parse ideal {ideal!r}, expected \"(a,b)\""
 
 
 def test_env_var_format(capsys, monkeypatch):

@@ -42,3 +42,38 @@ def test_package_all_is_the_module_lists():
     assert len(set(names)) == len(names)
     for n in names:
         getattr(quadgenus, n)
+
+
+def _class_methods(name):
+    """Names of the classes in src/quadgenus that define the method name."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == name:
+                        found.add(node.name)
+    return found
+
+
+def test_equality_and_hashing_come_from_one_base():
+    assert _class_methods("__hash__") == {"_Value"}
+    # QuadInt keeps its own __eq__ so that it compares with ints
+    assert _class_methods("__eq__") == {"_Value", "QuadInt"}
+
+
+def test_bool_is_excluded_by_exact_int_checks():
+    # an integer field is checked as `type(v) is not int`; only the JSON
+    # output keeps booleans apart from the ints they subclass
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if (
+                        isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "isinstance"
+                        and "bool" in ast.unparse(node.args[1])
+                    ):
+                        found.append(f"{path.stem}.{fn.name}")
+    assert found == ["cli._stringify"]

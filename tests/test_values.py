@@ -1,8 +1,10 @@
-"""Construction and hashing of the value types, across modules.
+"""Construction, equality, hashing and printing of the value types, across
+modules.
 
 Every constructor validates its fields: an integer field is an `int`, never
-a `bool` or a `float`, and a bad field raises DomainError. Equal values
-hash equal, so they collapse in a set.
+a `bool` or a `float`, and a bad field raises DomainError. Values are equal
+when their types and keys are, and equal values hash equal, so they
+collapse in a set.
 """
 
 import pytest
@@ -82,3 +84,66 @@ def test_fundamental_read_before_conductor():
     disc = Discriminant(-12)
     assert disc.fundamental == -3
     assert disc.conductor == 2
+
+
+@pytest.mark.parametrize(
+    "value,text,rep",
+    [
+        (D23, "Discriminant(-23)", "Discriminant(-23)"),
+        (QuadInt.from_int(-3, D23), "-3", "QuadInt(p=-6, q=0, d=-23)"),
+        (QuadInt(1, 1, D23), "(1+sqrt(-23))/2", "QuadInt(p=1, q=1, d=-23)"),
+        (QuadInt(1, -1, D23), "(1-sqrt(-23))/2", "QuadInt(p=1, q=-1, d=-23)"),
+        (QuadInt(3, -3, D23), "(3-3*sqrt(-23))/2", "QuadInt(p=3, q=-3, d=-23)"),
+        (QuadInt(0, 2, D23), "(0+2*sqrt(-23))/2", "QuadInt(p=0, q=2, d=-23)"),
+        (BinaryForm(2, -1, 3, D23), "(2,-1,3)", "BinaryForm(2, -1, 3)"),
+        (OrderIdeal(2, -3, D23), "[2, (3+sqrt(-23))/2]", "OrderIdeal(a=2, b=-3, d=-23)"),
+        (_tuple(), "GenTuple[4, (1-sqrt(-23))/2; d=-23]", "GenTuple[4, (1-sqrt(-23))/2; d=-23]"),
+        (
+            hnf_basis(_tuple()),
+            "ZModuleBasis[4, (-23-sqrt(-23))/2; d=-23]",
+            "ZModuleBasis[4, (-23-sqrt(-23))/2; d=-23]",
+        ),
+        (
+            MultiQuadraticForm(3, {(1, 2): -5, (0, 0): 4}, D23),
+            "+4*z1^2 -5*z2*z3",
+            "MultiQuadraticForm(3, +4*z1^2 -5*z2*z3, d=-23)",
+        ),
+        (MultiQuadraticForm(2, {}, D23), "0", "MultiQuadraticForm(2, 0, d=-23)"),
+    ],
+    ids=[
+        "discriminant",
+        "quadint-int",
+        "quadint-plus-sqrt",
+        "quadint-minus-sqrt",
+        "quadint-k-sqrt",
+        "quadint-zero-k-sqrt",
+        "binaryform",
+        "orderideal",
+        "gentuple",
+        "zmodulebasis",
+        "multiform",
+        "multiform-zero",
+    ],
+)
+def test_str_and_repr(value, text, rep):
+    assert str(value) == text
+    assert repr(value) == rep
+
+
+@pytest.mark.parametrize(
+    "x,y",
+    [
+        (BinaryForm(2, 1, 3, D23), BinaryForm(2, -1, 3, D23)),
+        (OrderIdeal(2, 1, D23), OrderIdeal(2, -1, D23)),
+        (Discriminant(-23), -23),
+        (BinaryForm(1, 1, 6, D23), OrderIdeal(1, 1, D23)),
+        (
+            MultiQuadraticForm(2, {(0, 0): 1}, D23),
+            MultiQuadraticForm(2, {(0, 0): 1}, Discriminant(-4)),
+        ),
+    ],
+    ids=["binaryform", "orderideal", "discriminant-int", "form-vs-ideal", "multiform-disc"],
+)
+def test_unequal_values(x, y):
+    assert x != y
+    assert len({x, y}) == 2
