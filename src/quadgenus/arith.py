@@ -158,8 +158,9 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def _conductor_split(d: int) -> tuple[int, int]:
-    """Write d < 0 as f**2 * dK with dK a fundamental discriminant."""
+def _conductor_split(d: int) -> int:
+    """The conductor f of d < 0: d = f**2 * dK with dK a fundamental
+    discriminant."""
     s = 1
     k = 1
     for p, e in factorize(d).items():
@@ -167,11 +168,11 @@ def _conductor_split(d: int) -> tuple[int, int]:
         if e % 2:
             k *= p
     if -k % 4 == 1:
-        return s, -k
+        return s
     # d = 0 (mod 4) forces s even here
     if s % 2:
         raise AssertionError(f"square part {s} of d = {d} must be even")
-    return s // 2, -4 * k
+    return s // 2
 
 
 class _Value:
@@ -192,12 +193,12 @@ class _Value:
 class Discriminant(_Value):
     """A negative discriminant d = 0 or 1 (mod 4).
 
-    Uniquely d = conductor**2 * fundamental; the split is computed lazily
-    since most arithmetic only needs d itself. conductor == 1 means the
-    maximal order.
+    Uniquely d = conductor**2 * fundamental; the conductor is computed
+    lazily since most arithmetic only needs d itself. conductor == 1 means
+    the maximal order.
     """
 
-    __slots__ = ("d", "_split")
+    __slots__ = ("d", "_conductor")
 
     def __init__(self, d: int):
         if type(d) is not int:
@@ -207,19 +208,17 @@ class Discriminant(_Value):
         if d % 4 not in (0, 1):
             raise DomainError(f"discriminant must be 0 or 1 mod 4, got {d}")
         self.d = d
-        self._split = None
+        self._conductor = None
 
     @property
     def conductor(self) -> int:
-        if self._split is None:
-            self._split = _conductor_split(self.d)
-        return self._split[0]
+        if self._conductor is None:
+            self._conductor = _conductor_split(self.d)
+        return self._conductor
 
     @property
     def fundamental(self) -> int:
-        if self._split is None:
-            self._split = _conductor_split(self.d)
-        return self._split[1]
+        return self.d // self.conductor**2
 
     def is_fundamental(self) -> bool:
         return self.conductor == 1
@@ -314,8 +313,6 @@ class QuadInt(_Value):
         return QuadInt(-self.p, -self.q, self.disc)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return QuadInt(self.p * other, self.q * other, self.disc)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -30,6 +30,7 @@ MAX_VARS = 64
 
 _FORM_RE = re.compile(r"^\(\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*\)$")
 _PAIR_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
+_PAIRS_RE = re.compile(rf"\s*{_PAIR_RE.pattern}(\s*,\s*{_PAIR_RE.pattern})*\s*")
 
 
 class UsageError(Exception):
@@ -58,11 +59,9 @@ def _parse_ideal(text: str, disc: Discriminant) -> OrderIdeal:
 
 
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
-    stripped = re.sub(r"\s+", "", text)
-    matched = "".join(m.group(0) for m in _PAIR_RE.finditer(stripped))
-    if matched.replace(",", "") != stripped.replace(",", "") or not matched:
+    if not _PAIRS_RE.fullmatch(text):
         raise UsageError(f"cannot parse {text!r}, expected \"(x,y),(x,y),...\"")
-    return [(int(a), int(b)) for a, b in _PAIR_RE.findall(stripped)]
+    return [(int(a), int(b)) for a, b in _PAIR_RE.findall(text)]
 
 
 def _parse_tuple(text: str, disc: Discriminant) -> GenTuple:

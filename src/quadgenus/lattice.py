@@ -4,9 +4,9 @@ A tuple (a_1, ..., a_m) of order elements stands for the linear polynomial
 a_1*z_1 + ... + a_m*z_m and spans a sublattice of the order. All lattice
 work happens in exact integer coordinates over the basis (1, omega),
 omega = (d - sqrt(d))/2: the canonical basis is the 2-column Hermite
-normal form of the generators' coordinate rows, computed on rows
-[u, v, c_1, ..., c_m] that carry the generator combination along
-(Cohen, GTM 138, 2.4.2). contains and solve_transform share one
+normal form of the generators' coordinate rows (Cohen, GTM 138, 2.4.2).
+Only solve_transform reduces rows [u, v, c_1, ..., c_m] that carry the
+generator combination along. contains and solve_transform share one
 back-substitution against that basis.
 
 Integer matrices act on the variables: row j of a matrix h is the image of
@@ -121,20 +121,17 @@ def _comb(x, r, y, s):
     return [x * a + y * b for a, b in zip(r, s)]
 
 
-def _hnf_core(coords, m):
-    """Triangular basis with provenance: (int_row, omega_row).
+def _hnf_core(rows):
+    """Triangular basis (int_row, omega_row) of rows [u, v, ...].
 
-    A row [u, v, c_1, ..., c_m] is the element u + v*omega together with
-    the combination sum c_j * z_j of the m generators that produces it.
+    Row [u, v, ...] is the element u + v*omega; columns after u and v are
+    combined along with it (solve_transform keeps provenance there).
     int_row = [n, 0, ...] spans L intersect Z (n > 0); omega_row has the
-    least positive v, and 0 <= u < n when n > 0. A missing row is all
-    zeros.
+    least positive v, and 0 <= u < n when n > 0. A missing row is all zeros.
     """
-    int_row = [0] * (m + 2)
-    omega_row = [0] * (m + 2)
-    for j, (u, v) in enumerate(coords):
-        row = [u, v] + [0] * m
-        row[2 + j] = 1
+    int_row = omega_row = [0] * len(rows[0])
+    for row in rows:
+        v = row[1]
         if v:
             v0 = omega_row[1]
             if not v0:
@@ -159,14 +156,15 @@ def _hnf_core(coords, m):
 def hnf_basis(x: GenTuple) -> ZModuleBasis:
     """Canonical triangular basis of the lattice x spans."""
     # the integer row first, like the usual [a, xi] ideal notation
-    rows = _hnf_core(x.coords(), x.m)
+    rows = _hnf_core(x.coords())
     return ZModuleBasis(x.disc, tuple((r[0], r[1]) for r in rows if r[0] or r[1]))
 
 
 def _solve_coords(int_row, omega_row, target):
-    """Generator combination producing target = (s, t), or None.
+    """Combination columns (after u, v) producing target = (s, t), or None.
 
-    Back-substitutes t against omega_row, then s against int_row.
+    Back-substitutes t against omega_row, then s against int_row; bare
+    [u, v] rows give [], which still means solvable.
     """
     s, t = target
     k2 = 0
@@ -184,7 +182,7 @@ def _solve_coords(int_row, omega_row, target):
 def contains(x: GenTuple, y: GenTuple) -> bool:
     """True iff the lattice of y lies inside the lattice of x."""
     _check_same_disc(x.disc, y.disc)
-    int_row, omega_row = _hnf_core(x.coords(), x.m)
+    int_row, omega_row = _hnf_core(x.coords())
     return all(_solve_coords(int_row, omega_row, c) is not None for c in y.coords())
 
 
@@ -199,7 +197,10 @@ def solve_transform(x: GenTuple, y: GenTuple) -> tuple[tuple[int, ...], ...]:
     """
     _check_same_disc(x.disc, y.disc)
     m = max(x.m, y.m)
-    int_row, omega_row = _hnf_core(x.coords(), m)
+    rows = [[u, v] + [0] * m for u, v in x.coords()]
+    for j, row in enumerate(rows):
+        row[2 + j] = 1
+    int_row, omega_row = _hnf_core(rows)
     cols = []
     for c in y.padded(m).coords():
         col = _solve_coords(int_row, omega_row, c)

@@ -45,6 +45,7 @@ def test_conductor_split(d, f, dk):
     disc = Discriminant(d)
     assert disc.conductor == f
     assert disc.fundamental == dk
+    assert Discriminant(d).fundamental == dk  # read before the conductor
     assert f * f * dk == d
     assert disc.is_fundamental() == (f == 1)
 

@@ -90,6 +90,10 @@ def test_ideal_commands(capsys):
 def test_normform_and_transforms(capsys):
     code, out, _ = run_cli(capsys, "normform", "-d", "-23", "(4,0),(1,-1)")
     assert out == "+4*z1^2 +2*z1*z2 +6*z2^2\n"
+    # whitespace around parentheses, commas and numbers is allowed
+    code, spaced, _ = run_cli(capsys, "normform", "-d", "-23", " ( 4 ,0) , (1, -1 ) ")
+    assert code == 0
+    assert spaced == out
     code, out, _ = run_cli(
         capsys, "solve-transform", "-d", "-23", "(2,0),(-23,-1)", "(4,0),(1,-1)"
     )
@@ -213,6 +217,18 @@ def test_usage_errors_exit_2(capsys):
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == f"cannot parse ideal {ideal!r}, expected \"(a,b)\""
+
+    # stray, doubled, leading and missing commas, and a space inside a number
+    for bad, argv in (
+        ("(1,1),,,(1,-1)(2,0),", ("normform", "(1,1),,,(1,-1)(2,0),")),
+        ("(2,0)(-23,-1)", ("solve-transform", "(2,0)(-23,-1)", "(4,0),(1,-1)")),
+        (",(4,0),,(1,-1)", ("solve-transform", "(2,0),(-23,-1)", ",(4,0),,(1,-1)")),
+        ("(1 1,1)", ("normform", "(1 1,1)")),
+    ):
+        code, out, err = run_cli(capsys, argv[0], "-d", "-23", *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == f"cannot parse {bad!r}, expected \"(x,y),(x,y),...\""
 
 
 def test_env_var_format(capsys, monkeypatch):

@@ -4,7 +4,9 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 
+from quadgenus import lattice
 from quadgenus.arith import Discriminant, DomainError, QuadInt
+from quadgenus.ideals import OrderIdeal, ideal_mul
 from quadgenus.lattice import (
     GenTuple,
     apply_transform,
@@ -106,6 +108,29 @@ def test_hnf_against_sympy():
         (n, z), (u, v) = b.coord_rows()
         assert z == 0
         assert h == sympy.Matrix([[n, u], [0, v]])
+
+
+def test_only_solve_transform_carries_provenance(monkeypatch):
+    # hnf_basis, contains and the ideal product reduce bare [u, v] rows
+    lengths = []
+    comb = lattice._comb
+
+    def recording(x, r, y, s):
+        lengths.append((len(r), len(s)))
+        return comb(x, r, y, s)
+
+    monkeypatch.setattr(lattice, "_comb", recording)
+    rng = random.Random(11)
+    for m in (1, 2, 3, 5):
+        x, y = _random_tuple(rng, D23, m), _random_tuple(rng, D23, m)
+        hnf_basis(x)
+        contains(x, y)
+        contains(x, module_mul(x, y))
+    ideal_mul(OrderIdeal(2, 1, D23), OrderIdeal(3, 1, D23))
+    assert lengths and set(lengths) == {(2, 2)}
+    lengths.clear()
+    solve_transform(integral(), _random_tuple(rng, D23, 3))
+    assert lengths and set(lengths) == {(5, 5)}
 
 
 def test_hnf_idempotent_and_order_independent():
