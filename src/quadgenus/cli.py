@@ -28,9 +28,15 @@ from .normforms import MultiQuadraticForm, form_action, norm_form
 
 MAX_VARS = 64
 
-_FORM_RE = re.compile(r"^\(\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*\)$")
-_PAIR_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
-_PAIRS_RE = re.compile(rf"\s*{_PAIR_RE.pattern}(\s*,\s*{_PAIR_RE.pattern})*\s*")
+# argument grammars, each matched in full against the raw text; whitespace
+# is allowed around parentheses, commas and numbers, not inside a number
+_INT = r"\s*-?\d+\s*"
+_PAIR = rf"\({_INT},{_INT}\)"
+_FORM_RE = re.compile(rf"\s*\({_INT},{_INT},{_INT}\)\s*")
+_IDEAL_RE = re.compile(rf"\s*{_PAIR}\s*")
+_TUPLE_RE = re.compile(rf"\s*{_PAIR}(\s*,\s*{_PAIR})*\s*")
+_RANGE_RE = re.compile(r"\s*-\d+\s*\.\.\s*-\d+\s*")
+_NUMBER_RE = re.compile(r"-?\d+")
 
 
 class UsageError(Exception):
@@ -42,42 +48,36 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _ints(pattern: re.Pattern, text: str, error: str | None = None) -> list[int] | None:
+    """The integers of text, in order, if pattern matches all of it; else
+    None, or, given error, the UsageError "cannot parse " + error.format(text)."""
+    if pattern.fullmatch(text):
+        return [int(n) for n in _NUMBER_RE.findall(text)]
+    if error is not None:
+        raise UsageError("cannot parse " + error.format(text))
+    return None
+
+
 def _parse_form(text: str, disc: Discriminant) -> BinaryForm:
-    m = _FORM_RE.match(text.strip())
-    if not m:
-        raise UsageError(f"cannot parse form {text!r}, expected \"(a,b,c)\"")
-    a, b, c = (int(g) for g in m.groups())
-    return BinaryForm(a, b, c, disc)
+    return BinaryForm(*_ints(_FORM_RE, text, 'form {!r}, expected "(a,b,c)"'), disc)
 
 
 def _parse_ideal(text: str, disc: Discriminant) -> OrderIdeal:
-    m = _PAIR_RE.fullmatch(text.strip())
-    if not m:
-        raise UsageError(f"cannot parse ideal {text!r}, expected \"(a,b)\"")
-    a, b = (int(g) for g in m.groups())
-    return OrderIdeal(a, b, disc)
-
-
-def _parse_pairs(text: str) -> list[tuple[int, int]]:
-    if not _PAIRS_RE.fullmatch(text):
-        raise UsageError(f"cannot parse {text!r}, expected \"(x,y),(x,y),...\"")
-    return [(int(a), int(b)) for a, b in _PAIR_RE.findall(text)]
+    return OrderIdeal(*_ints(_IDEAL_RE, text, 'ideal {!r}, expected "(a,b)"'), disc)
 
 
 def _parse_tuple(text: str, disc: Discriminant) -> GenTuple:
-    pairs = _parse_pairs(text)
-    if len(pairs) > MAX_VARS:
+    pq = _ints(_TUPLE_RE, text, '{!r}, expected "(x,y),(x,y),..."')
+    if len(pq) > 2 * MAX_VARS:
         raise UsageError(f"at most {MAX_VARS} generators are supported")
-    return GenTuple([QuadInt(p, q, disc) for p, q in pairs], disc)
+    return GenTuple([QuadInt(p, q, disc) for p, q in zip(pq[::2], pq[1::2])], disc)
 
 
 def _parse_matrix(text: str):
     try:
-        rows = json.loads(text)
+        rows = check_matrix(json.loads(text))
     except json.JSONDecodeError as exc:
         raise UsageError(f"cannot parse matrix {text!r}: {exc}") from None
-    try:
-        rows = check_matrix(rows)
     except DomainError as exc:
         raise UsageError(str(exc)) from None
     if len(rows) > MAX_VARS:
@@ -183,10 +183,8 @@ def _cmd_solve_transform(args, disc):
 
 def _cmd_form_action(args, disc):
     h = _parse_matrix(args.matrix)
-    m = _FORM_RE.match(args.form.strip())
-    if len(h) == 2 and m:
-        a, b, c = (int(g) for g in m.groups())
-        f = MultiQuadraticForm.from_binary_triple(a, b, c, disc)
+    if len(h) == 2 and (abc := _ints(_FORM_RE, args.form)):
+        f = MultiQuadraticForm.from_binary_triple(*abc, disc)
     else:
         f = norm_form(_parse_tuple(args.form, disc))
     r = form_action(h, f)
@@ -194,12 +192,8 @@ def _cmd_form_action(args, disc):
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    m = re.match(r"^\s*(-\d+)\s*\.\.\s*(-\d+)\s*$", text)
-    if not m:
-        raise UsageError(f"cannot parse range {text!r}, expected \"-lo..-hi\"")
-    a, b = int(m.group(1)), int(m.group(2))
-    lo, hi = max(a, b), min(a, b)
-    return lo, hi
+    a, b = _ints(_RANGE_RE, text, 'range {!r}, expected "-lo..-hi"')
+    return max(a, b), min(a, b)
 
 
 def _cmd_verify(args, _disc):
@@ -307,6 +301,10 @@ def _json(envelope) -> str:
 
 
 def main(argv=None) -> int:
+    # lift Python's 4300-digit cap on int/str conversion: integers of any
+    # length are read and printed
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else list(argv)
     # join option values that start with "-" so argparse does not read them
     # as flags, e.g. --range -4..-2000
@@ -325,7 +323,7 @@ def main(argv=None) -> int:
         disc = Discriminant(args.d) if "d" in args else None
         result, lines = args.fn(args, disc)
     except Exception as exc:
-        if isinstance(exc, (UsageError, ValueError)):
+        if isinstance(exc, (UsageError, DomainError)):
             code, error = (2 if isinstance(exc, UsageError) else 1), str(exc)
         else:
             code, error = 3, f"internal error in {_raising_module(exc)}: {exc}"

@@ -153,7 +153,7 @@ def coprime_equivalent(g: BinaryForm, n: int) -> BinaryForm:
                 if math.gcd(val, n) != 1:
                     continue
                 _, s, t = _xgcd(x, y)
-                # first column (x, y), determinant x*s' - y*r' = 1
+                # first column (x, y), determinant x*s + y*t = 1
                 m = ((x, -t), (y, s))
                 return _act_on_binary(m, g)
     raise AssertionError("primitive form failed to represent a coprime value")

@@ -25,7 +25,7 @@ from .forms import (
     is_concordant,
     reduce_form,
 )
-from .lattice import GenTuple, hnf_basis, mat_mul, module_mul
+from .lattice import GenTuple, hnf_basis, module_mul
 from .normforms import form_action, principal_norm_form
 
 __all__ = [
@@ -159,7 +159,7 @@ def compose_via_matrices(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     alpha = form_to_ideal(f)
     beta = form_to_ideal(g)
     tau1 = tau_pair(alpha, beta)[0]
-    carried = form_action(mat_mul(h_alpha(alpha), tau1), principal_norm_form(disc))
+    carried = form_action(tau1, form_action(h_alpha(alpha), principal_norm_form(disc)))
     aa = f.a * g.a
     triple = carried.binary_triple()
     if any(x % aa for x in triple):

@@ -212,7 +212,10 @@ def solve_transform(x: GenTuple, y: GenTuple) -> tuple[tuple[int, ...], ...]:
 
 def check_matrix(h, m: int | None = None) -> tuple[tuple[int, ...], ...]:
     """Validate a square integer matrix, optionally of fixed size m."""
-    rows = tuple(tuple(row) for row in h)
+    try:
+        rows = tuple(tuple(row) for row in h)
+    except TypeError:  # not a list of rows
+        raise DomainError("transform matrix must be square") from None
     size = len(rows)
     if size == 0 or any(len(r) != size for r in rows):
         raise DomainError("transform matrix must be square")

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from quadgenus.cli import main
+from quadgenus.forms import principal_form
 
 # Every subcommand in text and JSON format plus some error cases, each with
 # its exact exit code, stdout and stderr.
@@ -119,6 +120,28 @@ def test_verify(capsys):
     assert int(env["result"]["discriminants"]) == 49
 
 
+def test_verify_reports_mismatches(capsys, monkeypatch):
+    # a matrix route that always answers the principal form disagrees on
+    # every pair whose product is not principal
+    monkeypatch.setattr("quadgenus.cli.compose_via_matrices", lambda f, g: principal_form(f.disc))
+    code, out, _ = run_cli(capsys, "--format", "json", "verify", "--range", "-23..-23")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["pairs"] == "6"
+
+    def form(a, b, c):
+        return {"a": str(a), "b": str(b), "c": str(c), "d": "-23"}
+
+    assert result["mismatches"] == [
+        {"d": "-23", "f": form(1, 1, 6), "g": form(2, -1, 3)},
+        {"d": "-23", "f": form(1, 1, 6), "g": form(2, 1, 3)},
+        {"d": "-23", "f": form(2, -1, 3), "g": form(2, -1, 3)},
+        {"d": "-23", "f": form(2, 1, 3), "g": form(2, 1, 3)},
+    ]
+    code, out, _ = run_cli(capsys, "verify", "--range", "-23..-23")
+    assert out == "checked 1 discriminants, 6 pairs, 4 mismatches\n"
+
+
 def test_verify_memory_does_not_grow_with_the_pair_count(capsys):
     # h = 248 gives 30,876 pairs; one sampled pair must not build them all
     tracemalloc.start()
@@ -212,6 +235,13 @@ def test_usage_errors_exit_2(capsys):
     assert out == ""
     assert "integers" in json.loads(err)["error"]
 
+    # a matrix that is not a list of rows
+    for matrix in ("5", "[1,2]", "null", "[[1,2],3]"):
+        code, out, err = run_cli(capsys, "form-action", "-d", "-23", matrix, "(1,1,6)")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "transform matrix must be square"
+
     for ideal in ("abc", "(2,1,3)", "(2,1),(2,1)"):
         code, out, err = run_cli(capsys, "ideal2form", "-d", "-23", ideal)
         assert code == 2
@@ -240,6 +270,28 @@ def test_env_var_format(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "--format", "text", "reduce", "-d", "-4", "(1,-4,5)")
     assert out.splitlines()[0] == "(1,0,1)"
 
+    monkeypatch.setenv("QG_FORMAT", "xml")
+    code, out, err = run_cli(capsys, "reduce", "-d", "-4", "(1,-4,5)")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "QG_FORMAT must be json or text, not 'xml'"
+
+
+def test_generator_and_variable_limits(capsys):
+    # 64 variables is the edge; one more is refused before any work starts
+    code, out, _ = run_cli(capsys, "normform", "-d", "-23", ",".join(["(2,0)"] * 64))
+    assert code == 0
+    assert out.startswith("+1*z1^2 +2*z1*z2 ") and out.endswith(" +1*z64^2\n")
+    code, out, err = run_cli(capsys, "normform", "-d", "-23", ",".join(["(2,0)"] * 65))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "at most 64 generators are supported"
+    matrix = json.dumps([[int(i == j) for j in range(65)] for i in range(65)])
+    code, out, err = run_cli(capsys, "form-action", "-d", "-23", matrix, "(1,1,6)")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "at most 64 variables are supported"
+
 
 def test_arbitrary_precision_survives_json(capsys):
     d = -(10**30 + 3)  # = 1 mod 4
@@ -251,6 +303,21 @@ def test_arbitrary_precision_survives_json(capsys):
     env = json.loads(out)
     assert env["result"]["form"]["c"] == str(c)
     assert int(env["result"]["form"]["d"]) == d
+
+
+def test_integers_of_any_length(capsys):
+    # past Python's default 4300-digit limit on int/str conversion; the
+    # decimal strings are written out so this test converts no int itself
+    big = "1" + "0" * 2999
+    code, out, err = run_cli(capsys, "--format", "json", "normform", "-d", "-23", f"({big},0)")
+    assert (code, err) == (0, "")
+    coeffs = json.loads(out)["result"]["form"]["coeffs"]
+    assert coeffs == [["0", "0", "25" + "0" * 5996]]  # N(10^2999 / 2)
+    d = "-1" + "0" * 4997 + "003"  # -(10^5000 + 3), 1 mod 4
+    c = "25" + "0" * 4997 + "1"  # (1 - d) / 4
+    code, out, err = run_cli(capsys, "reduce", "-d", d, f"(1,1,{c})")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == f"(1,1,{c})"
 
 
 def run_child(*args):
@@ -291,14 +358,17 @@ def test_optimized_mode_changes_nothing(argv):
 
 
 def test_internal_error_exit_3(capsys, monkeypatch):
-    def broken(*args):
-        raise AssertionError("composite B invariant broken")
+    # a plain ValueError is a fault too: only a DomainError means exit 1
+    for fault in (AssertionError("composite B invariant broken"), ValueError("boom")):
 
-    monkeypatch.setattr("quadgenus.forms.composition_b", broken)
-    code, out, err = run_cli(capsys, "compose", "-d", "-23", "(2,1,3)", "(2,1,3)")
-    assert code == 3
-    assert out == ""
-    assert err == (
-        '{"status":"error","command":"compose",'
-        '"error":"internal error in quadgenus.forms: composite B invariant broken"}\n'
-    )
+        def broken(*args):
+            raise fault
+
+        monkeypatch.setattr("quadgenus.forms.composition_b", broken)
+        code, out, err = run_cli(capsys, "compose", "-d", "-23", "(2,1,3)", "(2,1,3)")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            '{"status":"error","command":"compose",'
+            f'"error":"internal error in quadgenus.forms: {fault}"}}\n'
+        )

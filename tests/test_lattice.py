@@ -18,6 +18,7 @@ from quadgenus.lattice import (
     modules_equal,
     solve_transform,
 )
+from quadgenus.normforms import form_action, principal_norm_form
 
 D23 = Discriminant(-23)
 
@@ -216,6 +217,16 @@ def test_bool_entries_rejected():
         apply_transform(((True, 0), (0, 1)), integral())
     with pytest.raises(DomainError, match="integers"):
         mat_mul(identity_matrix(2), ((1, False), (0, 1)))
+
+
+def test_matrix_that_is_not_a_list_of_rows_rejected():
+    for h in (5, None, (1, 2), ((1, 2), 3)):
+        with pytest.raises(DomainError, match="must be square"):
+            apply_transform(h, integral())
+        with pytest.raises(DomainError, match="must be square"):
+            form_action(h, principal_norm_form(D23))
+        with pytest.raises(DomainError, match="must be square"):
+            mat_mul(identity_matrix(2), h)
 
 
 def test_roundtrip_random():
