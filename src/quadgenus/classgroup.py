@@ -4,13 +4,14 @@ quotient by squares.
 The group lives on the reduced forms of one discriminant. Its structure
 comes from growing a subgroup one generator at a time (Buchmann-Schmidt,
 "Computing the structure of a finite abelian group", Math. Comp. 74,
-2005): each generator is the least reduced form outside the subgroup, each
-new element costs one CRT composition, so about h compositions give every
-class an exponent vector over the generators, and the Smith normal form of
-the small relation matrix gives the invariant factors. Two-torsion is read
-off the ambiguous reduced forms and the quotient by squares off the
-exponent vectors mod 2, so neither composes. The Cayley table is built on
-demand only, by full pairwise composition.
+2005): each generator is the least reduced form outside the subgroup,
+half of its cosets cost one CRT composition an element and the rest are
+their inverses, so about h/2 compositions give every class an exponent
+vector over the generators, and the Smith normal form of the small
+relation matrix gives the invariant factors. Two-torsion is read off the
+ambiguous reduced forms and the quotient by squares off the exponent
+vectors mod 2, so neither composes. The Cayley table is built on demand
+only, by full pairwise composition.
 """
 
 from __future__ import annotations
@@ -107,9 +108,26 @@ def _smith_invariants(rows) -> list[int]:
     return [v for v in n if v > 1]
 
 
+def _inverse(index, f, x):
+    """Index of 1/f for f = elements[x]: (a, -b, c), or f if ambiguous."""
+    return index.get((f.a, -f.b), x)
+
+
+def _carry(v, found):
+    """An exponent vector brought into 0 <= e_u < m_u by the relations
+    g_u**m_u = prod g_w**img_u[w], from the last generator down."""
+    v = list(v)
+    for u in reversed(range(len(v))):
+        m, img = found[u]
+        q, v[u] = divmod(v[u], m)
+        for w, e in enumerate(img):
+            v[w] += q * e
+    return tuple(v)
+
+
 def class_group(disc: Discriminant) -> ClassGroup:
     """Elements, exponent vectors over generators, and invariant factors
-    for one discriminant, in about h compositions."""
+    for one discriminant, in about h/2 compositions."""
     elements = enumerate_reduced(disc)
     h = len(elements)
     index = {(f.a, f.b): i for i, f in enumerate(elements)}
@@ -130,19 +148,33 @@ def class_group(disc: Discriminant) -> ClassGroup:
             return index[(p.a, p.b)]
 
         t = len(found)
-        coset = sub  # g**(m-1) times the subgroup, led by g**(m-1)
-        m = 1
-        while coords[k := times_gen(coset[0])] is None:
-            new = [k] + [times_gen(x) for x in coset[1:]]
-            for x, y in zip(coset, new):
+        cosets = [sub]  # g**j times the subgroup; composed ones led by g**j
+        j, lead = 1, nxt
+        while coords[inv := _inverse(index, elements[lead], lead)] is None:
+            new = [lead] + [times_gen(x) for x in cosets[-1][1:]]
+            for x, y in zip(cosets[-1], new):
                 if coords[y] is not None:
                     raise AssertionError("coset of the subgroup meets the subgroup")
                 c = coords[x][:t]
-                coords[y] = c + (0,) * (t - len(c)) + (m,)
-            sub += new
-            coset = new
-            m += 1
-        found.append((m, coords[k]))
+                coords[y] = c + (0,) * (t - len(c)) + (j,)
+            cosets.append(new)
+            if coords[inv] is not None:  # g**-j is in coset j itself
+                break
+            j, lead = j + 1, times_gen(lead)
+        # g**-j = g**i * s with s in the subgroup, so g**m = 1/s for m = i + j
+        if len(coords[inv]) <= t:
+            raise AssertionError("inverse of a generator power lies in the old subgroup")
+        m = coords[inv][t] + j
+        s = coords[inv][:t]
+        for j in range(len(cosets), m):  # coset j inverts coset m - j
+            new = [_inverse(index, elements[x], x) for x in cosets[m - j]]
+            for x, y in zip(cosets[m - j], new):
+                if coords[y] is not None:
+                    raise AssertionError("inverted class already has an exponent vector")
+                coords[y] = _carry([a - b for a, b in zip(s, coords[x])], found) + (j,)
+            cosets.append(new)
+        sub = [x for c in cosets for x in c]
+        found.append((m, _carry([-a for a in s], found)))
     n = len(found)
     coords = [c + (0,) * (n - len(c)) for c in coords]
     relations = []
@@ -169,8 +201,8 @@ def cl_mod_squares(group: ClassGroup):
     """(order, coset representatives) of the quotient by the squares.
 
     The representative of each coset is its lexicographically least reduced
-    form; the order equals 2**(number of even invariant factors) and, for a
-    fundamental discriminant with t distinct prime divisors, 2**(t-1).
+    form; the order equals 2**(number of even invariant factors), the
+    genus count of genus_count_from_factorization.
     Cosets are keyed by the exponent vector mod 2, reduced against the
     relation rows mod 2 (echelon form over GF(2) on bitmasks).
     """
@@ -204,7 +236,10 @@ def _mod2(vector, basis) -> int:
 
 
 def genus_count_from_factorization(disc: Discriminant) -> int:
-    """2**(t-1) with t the number of distinct primes dividing d; the
-    classical genus count for fundamental discriminants."""
-    t = len(factorize(disc.d))
-    return 2 ** (t - 1)
+    """2**(mu-1) genera (Cox, Prop. 3.11, Thm. 3.15): mu counts the odd
+    primes dividing d, plus 0, 1 or 2 from n = -d/4 mod 8 when 4 | d."""
+    d = disc.d
+    mu = sum(1 for p in factorize(d) if p > 2)
+    if d % 4 == 0:
+        mu += (2, 1, 1, 0, 1, 1, 1, 0)[-d // 4 % 8]
+    return 2 ** (mu - 1)

@@ -78,6 +78,8 @@ def _parse_matrix(text: str):
         rows = check_matrix(json.loads(text))
     except json.JSONDecodeError as exc:
         raise UsageError(f"cannot parse matrix {text!r}: {exc}") from None
+    except RecursionError:
+        raise UsageError("cannot parse matrix: nested too deeply") from None
     except DomainError as exc:
         raise UsageError(str(exc)) from None
     if len(rows) > MAX_VARS:

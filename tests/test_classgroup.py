@@ -14,7 +14,7 @@ from quadgenus.classgroup import (
     genus_count_from_factorization,
     two_torsion,
 )
-from quadgenus.forms import BinaryForm, form_inverse
+from quadgenus.forms import BinaryForm, compose_crt, enumerate_reduced, form_inverse
 
 
 def test_trivial_group():
@@ -128,6 +128,16 @@ def test_genus_count_small_range():
         order, _ = cl_mod_squares(g)
         assert order == 2 ** (_distinct_primes(dv) - 1)
         assert order == genus_count_from_factorization(g.disc)
+
+
+def test_genus_count_every_discriminant():
+    # 2**(mu-1) for non-fundamental d too: d = -12 has one genus, d = -32 two
+    assert genus_count_from_factorization(Discriminant(-12)) == 1
+    assert genus_count_from_factorization(Discriminant(-32)) == 2
+    for dv in range(-3, -4001, -1):
+        if dv % 4 in (0, 1):
+            g = class_group(Discriminant(dv))
+            assert genus_count_from_factorization(g.disc) == cl_mod_squares(g)[0], dv
 
 
 def test_genus_count_of_a_strong_pseudoprime_discriminant():
@@ -307,10 +317,91 @@ def test_class_group_composes_about_h_times(monkeypatch):
         g = class_group(Discriminant(dv))
         two_torsion(g)
         cl_mod_squares(g)
-        assert len(calls) <= 2 * g.h, dv
+        assert len(calls) <= g.h, dv
         assert g._table is None
     calls.clear()
     assert len(g.table) == g.h and len(calls) == g.h * (g.h + 1) // 2
+    # about half the classes are composed, the rest are inverses
+    calls.clear()
+    total_h = 0
+    for dv in range(-3, -6001, -1):
+        if dv % 4 in (0, 1):
+            total_h += class_group(Discriminant(dv)).h
+    assert len(calls) <= 0.55 * total_h
+
+
+# --- the coset-by-composition loop --------------------------------------------
+# class_group before cosets were read off by inversion: every coset g**j * S
+# for 0 < j < m is composed, and g**m is composed to find its vector in S.
+
+
+def _class_group_by_composition(disc):
+    elements = enumerate_reduced(disc)
+    h = len(elements)
+    index = {(f.a, f.b): i for i, f in enumerate(elements)}
+    coords = [None] * h
+    coords[0] = ()
+    sub = [0]
+    found = []
+    nxt = 1
+    while len(sub) < h:
+        while coords[nxt] is not None:
+            nxt += 1
+        gen = elements[nxt]
+
+        def times_gen(x):
+            p = compose_crt(elements[x], gen)
+            return index[(p.a, p.b)]
+
+        t = len(found)
+        coset = sub
+        m = 1
+        while coords[k := times_gen(coset[0])] is None:
+            new = [k] + [times_gen(x) for x in coset[1:]]
+            for x, y in zip(coset, new):
+                assert coords[y] is None
+                c = coords[x][:t]
+                coords[y] = c + (0,) * (t - len(c)) + (m,)
+            sub += new
+            coset = new
+            m += 1
+        found.append((m, coords[k]))
+    n = len(found)
+    coords = [c + (0,) * (n - len(c)) for c in coords]
+    relations = []
+    for t, (m, img) in enumerate(found):
+        row = [-e for e in img] + [0] * (n - len(img))
+        row[t] += m
+        relations.append(tuple(row))
+    return elements, coords, relations, _smith_invariants(relations)
+
+
+def test_inversion_matches_composition_loop():
+    for dv in [dv for dv in range(-3, -6001, -1) if dv % 4 in (0, 1)] + [-4000003]:
+        g = class_group(Discriminant(dv))
+        assert (g.elements, g.coords, g.relations, g.structure) == \
+            _class_group_by_composition(g.disc), dv
+
+
+def test_inverted_class_that_already_has_a_vector_raises(monkeypatch):
+    # d = -104: g1 = (2,0,13) has order 2 and g2 = (3,-2,9) order 3, so the
+    # coset g2**2 * <g1> is read off by inverting g2 * <g1>; claim that the
+    # inverse of g1 * g2 is the principal class
+    g = class_group(Discriminant(-104))
+    assert g.relations == [(2, 0), (0, 3)]
+    target = g.coords.index((1, 1))
+    real = classgroup._inverse
+    monkeypatch.setattr(classgroup, "_inverse",
+                        lambda index, f, x: 0 if x == target else real(index, f, x))
+    with pytest.raises(AssertionError, match="already has an exponent vector"):
+        class_group(Discriminant(-104))
+
+
+def test_power_whose_inverse_lies_in_the_old_subgroup_raises(monkeypatch):
+    # claim that every class inverts to the principal class
+    monkeypatch.setattr(classgroup, "_inverse", lambda index, f, x: 0)
+    with pytest.raises(AssertionError, match="lies in the old subgroup"):
+        class_group(Discriminant(-23))
 
 
 def test_large_class_group_within_time_bound():

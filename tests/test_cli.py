@@ -242,6 +242,12 @@ def test_usage_errors_exit_2(capsys):
         assert out == ""
         assert json.loads(err)["error"] == "transform matrix must be square"
 
+    # a matrix nested deeper than the JSON decoder recurses
+    code, out, err = run_cli(capsys, "form-action", "-d", "-23", "[" * 20000 + "]" * 20000, "(1,1,6)")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "cannot parse matrix: nested too deeply"
+
     for ideal in ("abc", "(2,1,3)", "(2,1),(2,1)"):
         code, out, err = run_cli(capsys, "ideal2form", "-d", "-23", ideal)
         assert code == 2
