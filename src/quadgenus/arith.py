@@ -21,10 +21,9 @@ class DomainError(ValueError):
     discriminants, imprimitive form, and so on)."""
 
 
-# --- integer helpers ---------------------------------------------------------
-#
-# Trial division handles everything desk scale, Brent's variant of Pollard
-# rho the occasional large cofactor, and Baillie-PSW decides primality.
+# Integer helpers. Trial division handles everything desk scale, Brent's
+# variant of Pollard rho the occasional large cofactor, and Baillie-PSW
+# decides primality.
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

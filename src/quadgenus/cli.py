@@ -116,9 +116,8 @@ def _text(value) -> str:
     return json.dumps(value)
 
 
-# --- subcommand handlers ------------------------------------------------------
-# each takes the parsed arguments and the discriminant of -d (None for verify)
-# and returns (result, text_lines)
+# Subcommand handlers: each takes the parsed arguments and the
+# discriminant of -d (None for verify) and returns (result, text_lines)
 
 
 def _cmd_reduce(args, disc):

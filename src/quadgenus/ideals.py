@@ -26,7 +26,7 @@ from .forms import (
     reduce_form,
 )
 from .lattice import GenTuple, hnf_basis, module_mul
-from .normforms import form_action, principal_norm_form
+from .normforms import _substitute, principal_norm_form
 
 __all__ = [
     "OrderIdeal",
@@ -159,7 +159,7 @@ def compose_via_matrices(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     alpha = form_to_ideal(f)
     beta = form_to_ideal(g)
     tau1 = tau_pair(alpha, beta)[0]
-    carried = form_action(tau1, form_action(h_alpha(alpha), principal_norm_form(disc)))
+    carried = _substitute(tau1, _substitute(h_alpha(alpha), principal_norm_form(disc)))
     aa = f.a * g.a
     triple = carried.binary_triple()
     if any(x % aa for x in triple):

@@ -221,10 +221,8 @@ def check_matrix(h, m: int | None = None) -> tuple[tuple[int, ...], ...]:
         raise DomainError("transform matrix must be square")
     if m is not None and size != m:
         raise DomainError(f"dimension mismatch: {size}x{size} matrix on {m} variables")
-    for r in rows:
-        for e in r:
-            if type(e) is not int:
-                raise DomainError("transform matrix entries must be integers")
+    if any(type(e) is not int for r in rows for e in r):
+        raise DomainError("transform matrix entries must be integers")
     return rows
 
 

@@ -4,10 +4,13 @@ The norm form of (a_1, ..., a_m) is N(sum a_i z_i), an integral quadratic
 form in m variables: the z_i^2 coefficient is norm(a_i) and the z_i z_j
 coefficient is trace(a_i * conj(a_j)). A matrix h acts by substituting
 z_j -> sum_i h[j][i] z_i, and that action commutes with taking norm forms
-of transformed tuples.
+of transformed tuples. form_action checks a caller's matrix;
+compose_via_matrices substitutes the ones it builds unchecked.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .arith import DomainError, Discriminant, QuadInt, _Value
 from .lattice import GenTuple, check_matrix, solve_transform
@@ -23,6 +26,16 @@ __all__ = [
 ]
 
 
+@cache
+def _keys(m: int) -> tuple:
+    """The (i, j) with i <= j < m, in order."""
+    return tuple((i, j) for i in range(m) for j in range(i, m))
+
+
+def _outside(key, m: int) -> DomainError:
+    return DomainError(f"coefficient key {key} is outside 0 <= i <= j < {m}")
+
+
 class MultiQuadraticForm(_Value):
     """sum_{i<=j} c[i,j] * z_i * z_j with integer coefficients; coeffs holds
     every (i, j) with i <= j, in that order."""
@@ -34,24 +47,25 @@ class MultiQuadraticForm(_Value):
             raise DomainError(f"variable count must be an integer >= 1, got {m!r}")
         self.m = m
         self.disc = disc
-        full = {(i, j): 0 for i in range(m) for j in range(i, m)}
+        full = dict.fromkeys(_keys(m), 0)
         for key, c in coeffs.items():
             if key not in full:
-                raise DomainError(f"coefficient key {key} is outside 0 <= i <= j < {m}")
+                raise _outside(key, m)
             if type(c) is not int:
                 raise DomainError(f"coefficient {key} must be an integer, got {c!r}")
             full[key] = c
         self.coeffs = full
 
     def coeff(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return self.coeffs[(i, j)]
+        key = (min(i, j), max(i, j))
+        if key not in self.coeffs:
+            raise _outside(key, self.m)
+        return self.coeffs[key]
 
     def evaluate(self, point) -> int:
         z = tuple(point)
-        if len(z) != self.m:
-            raise DomainError(f"point has {len(z)} coordinates, form has {self.m}")
+        if len(z) != self.m or any(type(v) is not int for v in z):
+            raise DomainError(f"point {z!r} is not {self.m} integers")
         return sum(c * z[i] * z[j] for (i, j), c in self.coeffs.items())
 
     def binary_triple(self) -> tuple[int, int, int]:
@@ -86,38 +100,28 @@ class MultiQuadraticForm(_Value):
 
 def norm_form(x: GenTuple) -> MultiQuadraticForm:
     """The norm of the linear polynomial of x, as a quadratic form."""
-    coeffs = {}
     cs = x.coeffs
-    for i, a in enumerate(cs):
-        coeffs[(i, i)] = a.norm()
-        for j in range(i + 1, x.m):
-            coeffs[(i, j)] = (a * cs[j].conjugate()).trace()
+    coeffs = {
+        (i, j): (cs[i] * cs[j].conjugate()).trace() if i < j else cs[i].norm()
+        for i, j in _keys(x.m)
+    }
     return MultiQuadraticForm(x.m, coeffs, x.disc)
 
 
 def form_action(h, f: MultiQuadraticForm) -> MultiQuadraticForm:
     """Substitute z_j -> sum_i h[j][i] z_i into f and re-expand."""
-    rows = check_matrix(h, f.m)
-    m = f.m
-    # f = z^T A z with A the upper-triangular coefficient table;
-    # the substituted form is h^T A h, re-folded to upper-triangular.
-    b = [[0] * m for _ in range(m)]
+    return _substitute(check_matrix(h, f.m), f)
+
+
+def _substitute(rows, f: MultiQuadraticForm) -> MultiQuadraticForm:
+    """form_action on checked rows: h^T A h, folded into the triangle."""
+    out = dict.fromkeys(_keys(f.m), 0)
     for (i, j), c in f.coeffs.items():
-        if c == 0:
-            continue
-        ri, rj = rows[i], rows[j]
-        for k in range(m):
-            cik = c * ri[k]
-            if cik:
-                row = b[k]
-                for l in range(m):
-                    row[l] += cik * rj[l]
-    coeffs = {}
-    for i in range(m):
-        coeffs[(i, i)] = b[i][i]
-        for j in range(i + 1, m):
-            coeffs[(i, j)] = b[i][j] + b[j][i]
-    return MultiQuadraticForm(m, coeffs, f.disc)
+        if c:
+            ri, rj = rows[i], rows[j]
+            for k, l in out:
+                out[k, l] += c * (ri[k] * rj[l] + ri[l] * rj[k] if k < l else ri[k] * rj[k])
+    return MultiQuadraticForm(f.m, out, f.disc)
 
 
 def factor_witness(x: GenTuple, y: GenTuple):
@@ -147,8 +151,7 @@ def integral_tuple(disc: Discriminant, m: int = 2) -> GenTuple:
 def principal_norm_form(disc: Discriminant, m: int = 2) -> MultiQuadraticForm:
     """Norm form of the order: x^2 + d*xy + ((d^2-d)/4)*y^2, zero-padded.
 
-    Written down from d, so the matrix composition route that starts from
-    it shares no norm-form code with ideal_to_form."""
+    Written down from d: the matrix route expands no norm form."""
     if m < 2:
         raise DomainError("the order needs at least two generators")
     d = disc.d

@@ -1,8 +1,14 @@
+import inspect
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import quadgenus.ideals as ideals
+import quadgenus.lattice as lattice
 import quadgenus.normforms as normforms
 from quadgenus.arith import Discriminant, DomainError
 from quadgenus.forms import (
@@ -23,7 +29,7 @@ from quadgenus.ideals import (
     tau_pair,
 )
 from quadgenus.lattice import apply_transform, mat_mul
-from quadgenus.normforms import integral_tuple
+from quadgenus.normforms import form_action, integral_tuple, principal_norm_form
 
 D23 = Discriminant(-23)
 
@@ -185,16 +191,21 @@ def test_tau_pair_rejects_non_concordant():
         tau_pair(alpha, alpha.conjugate())
 
 
+def _rebind(monkeypatch, original, replacement):
+    """Point every quadgenus module binding of original at replacement."""
+    name = original.__name__
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "quadgenus" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, replacement)
+
+
 def _forbid_norm_form(monkeypatch):
     """Make norm_form raise through every module binding of it."""
-    original = normforms.norm_form
 
     def broken(x):
         raise RuntimeError("norm_form called")
 
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "quadgenus" and getattr(mod, "norm_form", None) is original:
-            monkeypatch.setattr(mod, "norm_form", broken)
+    _rebind(monkeypatch, normforms.norm_form, broken)
 
 
 def _every_pair(*dvs):
@@ -218,6 +229,69 @@ def test_ideal_route_needs_no_norm_form_expansion(monkeypatch):
     for f, g in _every_pair(-84, -23):
         _, prod = ideal_mul(form_to_ideal(f), form_to_ideal(g))
         assert reduce_form(ideal_to_form(prod))[0] == compose_crt(f, g)
+
+
+def test_matrix_route_checks_only_caller_matrices(monkeypatch):
+    # h_alpha and tau1 are built from validated ints and substituted
+    # unchecked; the public form_action checks its caller's matrix once
+    calls = []
+    original = lattice.check_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    _rebind(monkeypatch, original, counted)
+    for f, g in _every_pair(-84, -23):
+        assert compose_via_matrices(f, g) == compose_crt(f, g)
+    assert calls == []
+    form_action(h_alpha(OrderIdeal(2, 1, D23)), principal_norm_form(D23))
+    assert len(calls) == 1
+
+
+# pairs whose matrix-route coefficients the skewed h_alpha leaves not
+# divisible by aa'
+_SKEWED_PAIRS = (
+    (-23, (2, 1, 3), (2, 1, 3)),
+    (-23, (2, 1, 3), (2, -1, 3)),
+    (-84, (2, 2, 11), (3, 0, 7)),
+    (-84, (3, 0, 7), (3, 0, 7)),
+)
+
+
+def _skewed_h_alpha(alpha):
+    """h_alpha one off in its corner entry: a wrong matrix of the right shape."""
+    return ((alpha.a, (alpha.b - alpha.disc.d) // 2 + 1), (0, 1))
+
+
+def test_wrong_internal_matrix_fails_the_divisibility_check(monkeypatch):
+    monkeypatch.setattr(ideals, "h_alpha", _skewed_h_alpha)
+    for dv, f, g in _SKEWED_PAIRS:
+        d = Discriminant(dv)
+        with pytest.raises(AssertionError, match="not divisible by aa'"):
+            compose_via_matrices(BinaryForm(*f, d), BinaryForm(*g, d))
+
+
+def test_wrong_internal_matrix_fails_the_divisibility_check_under_O():
+    # the same check in a child run with assert statements compiled out
+    code = inspect.getsource(_skewed_h_alpha) + "\n".join([
+        "import quadgenus.ideals as ideals",
+        "from quadgenus.arith import Discriminant",
+        "from quadgenus.forms import BinaryForm",
+        "ideals.h_alpha = _skewed_h_alpha",
+        f"for dv, f, g in {_SKEWED_PAIRS!r}:",
+        "    d = Discriminant(dv)",
+        "    try:",
+        "        ideals.compose_via_matrices(BinaryForm(*f, d), BinaryForm(*g, d))",
+        "    except AssertionError as exc:",
+        "        print(exc)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "matrix composition not divisible by aa'\n" * len(_SKEWED_PAIRS)
 
 
 def test_compose_via_matrices_square():

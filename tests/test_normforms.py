@@ -1,9 +1,17 @@
 import random
+import re
 
 import pytest
 
 from quadgenus.arith import Discriminant, DomainError, QuadInt
-from quadgenus.lattice import GenTuple, apply_transform, contains, identity_matrix
+from quadgenus.lattice import (
+    GenTuple,
+    apply_transform,
+    check_matrix,
+    contains,
+    identity_matrix,
+    mat_mul,
+)
 from quadgenus.normforms import (
     MultiQuadraticForm,
     factor_witness,
@@ -81,6 +89,67 @@ def test_form_action_composite_example():
 def test_form_action_dimension_mismatch():
     with pytest.raises(DomainError):
         form_action(identity_matrix(3), principal_norm_form(D23))
+
+
+def _expanded_form_action(h, f):
+    """form_action as an m x m expansion: h^T A h in a full table, A the
+    upper-triangular coefficient table, then re-folded to the triangle."""
+    rows = check_matrix(h, f.m)
+    m = f.m
+    b = [[0] * m for _ in range(m)]
+    for (i, j), c in f.coeffs.items():
+        if c == 0:
+            continue
+        ri, rj = rows[i], rows[j]
+        for k in range(m):
+            cik = c * ri[k]
+            if cik:
+                row = b[k]
+                for l in range(m):
+                    row[l] += cik * rj[l]
+    coeffs = {}
+    for i in range(m):
+        coeffs[(i, i)] = b[i][i]
+        for j in range(i + 1, m):
+            coeffs[(i, j)] = b[i][j] + b[j][i]
+    return MultiQuadraticForm(m, coeffs, f.disc)
+
+
+def test_fold_matches_the_expansion_random():
+    rng = random.Random(25)
+
+    def pick(bound):
+        # one entry in five is zero, so zero coefficients and sparse rows occur
+        return rng.randint(-bound, bound) if rng.random() < 0.8 else 0
+
+    for m in range(1, 6):
+        for _ in range(120):
+            bound = rng.choice((1, 10, 10**30))
+            keys = [(i, j) for i in range(m) for j in range(i, m)]
+            f = MultiQuadraticForm(m, {key: pick(bound) for key in keys}, _random_disc(rng))
+            h = [[pick(bound) for _ in range(m)] for _ in range(m)]
+            if rng.random() < 0.3:
+                h[rng.randrange(m)] = [0] * m
+            g = form_action(h, f)
+            assert g == _expanded_form_action(h, f)
+            # substituting z_j -> sum_i h[j][i] z_i and evaluating commute
+            z = [rng.randint(-bound, bound) for _ in range(m)]
+            image = [sum(h[j][i] * z[i] for i in range(m)) for j in range(m)]
+            assert g.evaluate(z) == f.evaluate(image)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [((1, 0),), ((1, 0), (0,)), ((1.0, 0), (0, 1)), ((True, 0), (0, 1)), 5, identity_matrix(3)],
+    ids=["not-square", "ragged", "float", "bool", "not-rows", "wrong-size"],
+)
+def test_public_entry_points_check_the_matrix(h):
+    with pytest.raises(DomainError):
+        form_action(h, principal_norm_form(D23))
+    with pytest.raises(DomainError):
+        apply_transform(h, integral_tuple(D23))
+    with pytest.raises(DomainError):
+        mat_mul(h, identity_matrix(2))
 
 
 def test_naturality_random():
@@ -185,3 +254,18 @@ def test_multiform_rejects_non_int_coefficients():
         MultiQuadraticForm(2, {(0, 0): 2.5}, D23)
     with pytest.raises(DomainError, match="integer"):
         MultiQuadraticForm(2, {(0, 1): True}, D23)
+
+
+def test_coeff_outside_the_triangle_is_a_domain_error():
+    f = principal_norm_form(D23)
+    for i, j, key in ((2, 0, "(0, 2)"), (0, 2, "(0, 2)"), (-1, 1, "(-1, 1)"), (2, 2, "(2, 2)")):
+        with pytest.raises(DomainError, match=re.escape(f"key {key} is outside 0 <= i <= j < 2")):
+            f.coeff(i, j)
+
+
+def test_evaluate_takes_integer_points_only():
+    f = MultiQuadraticForm.from_binary_triple(2, 1, 3, D23)
+    assert f.evaluate((1, 2)) == 2 + 2 + 12
+    for z in ((1.5, 2), ("a", "b"), (True, 1), (1, 2, 3), (1,)):
+        with pytest.raises(DomainError, match="is not 2 integers"):
+            f.evaluate(z)
