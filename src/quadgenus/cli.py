@@ -302,10 +302,19 @@ def _json(envelope) -> str:
 
 
 def main(argv=None) -> int:
-    # lift Python's 4300-digit cap on int/str conversion: integers of any
-    # length are read and printed
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    # Python's 4300-digit cap on int/str conversion is lifted while the
+    # command runs, so integers of any length are read and printed
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # join option values that start with "-" so argparse does not read them
     # as flags, e.g. --range -4..-2000

@@ -1,12 +1,9 @@
 """Primitive positive-definite binary quadratic forms of negative discriminant.
 
 Reduction (with a determinant-1 change-of-variables witness), enumeration
-of the reduced representatives, and Dirichlet/CRT composition. Composition
-of a non-concordant pair first replaces the second form by an equivalent
-one whose leading coefficient is coprime to 2*a*d, after which the three
-composition congruences have a unique solution modulo 2*a*a', written down
-in closed form (Dirichlet's united forms, Cohen Alg. 5.4.7). Reduction and
-composition are plain integer code and take O(log|d|) steps.
+of the reduced representatives, and Dirichlet/CRT composition: every pair,
+concordant or not, composes in one closed form (Cohen Alg. 5.4.7), with no
+repair step. Reduction and composition take O(log|d|) steps.
 """
 
 from __future__ import annotations
@@ -129,7 +126,7 @@ def enumerate_reduced(disc: Discriminant) -> list[BinaryForm]:
 
 
 def is_concordant(f: BinaryForm, g: BinaryForm) -> bool:
-    """gcd(a, a', (b + b')/2) == 1, the case direct composition handles."""
+    """gcd(a, a', (b + b')/2) == 1, the pairs tau_pair takes unrepaired."""
     return math.gcd(f.a, math.gcd(g.a, (f.b + g.b) // 2)) == 1
 
 
@@ -153,40 +150,31 @@ def coprime_equivalent(g: BinaryForm, n: int) -> BinaryForm:
                 if math.gcd(val, n) != 1:
                     continue
                 _, s, t = _xgcd(x, y)
-                # first column (x, y), determinant x*s + y*t = 1
-                m = ((x, -t), (y, s))
-                return _act_on_binary(m, g)
+                # substitute the matrix ((x, -t), (y, s)) of determinant
+                # x*s + y*t = 1: its first column moves val to the front
+                a, b, c = g.a, g.b, g.c
+                b2 = 2 * (c * y * s - a * x * t) + b * (x * s - y * t)
+                return BinaryForm(val, b2, a * t * t - b * t * s + c * s * s, g.disc)
     raise AssertionError("primitive form failed to represent a coprime value")
 
 
-def _act_on_binary(m, g: BinaryForm) -> BinaryForm:
-    """Substitute the 2x2 matrix into g (rows are variable images)."""
-    (p, q), (r, s) = m
-    a, b, c = g.a, g.b, g.c
-    a2 = a * p * p + b * p * r + c * r * r
-    b2 = 2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s
-    c2 = a * q * q + b * q * s + c * s * s
-    return BinaryForm(a2, b2, c2, g.disc)
-
-
 def composition_b(a1: int, b1: int, a2: int, b2: int, d: int) -> int:
-    """The unique B modulo 2*a1*a2 with B = b1 (mod 2*a1), B = b2 (mod 2*a2)
-    and B^2 = d (mod 4*a1*a2), normalized to the least non-negative residue.
+    """The composite's middle coefficient B, least non-negative modulo 2*a3,
+    where a3 = a1*a2/e^2 and e = gcd(a1, a2, s) with s = (b1 + b2)/2.
 
-    Requires gcd(a1, a2, (b1 + b2)/2) == 1. Closed form (Dirichlet's united
-    forms, Cohen Alg. 5.4.7): with s = (b1 + b2)/2, two xgcds give
-    g1 = x*a1 + y*a2 and 1 = p*g1 + w*s, and then
-    B = p*x*a1*b2 + p*y*a2*b1 + w*(b1*b2 + d)/2. The three congruences are
-    checked, not searched for.
+    Closed form (Dirichlet's united forms, Cohen Alg. 5.4.7): two xgcds give
+    g1 = x*a1 + y*a2 and e = p*g1 + w*s, and then
+    B = (p*x*a1*b2 + p*y*a2*b1 + w*(b1*b2 + d)/2)/e. It is checked against
+    the three linear congruences that fix it modulo 2*a3: (a1/e)*B = (a1/e)*b2,
+    (a2/e)*B = (a2/e)*b1 and (s/e)*B = (b1*b2 + d)/(2e).
     """
     s = (b1 + b2) // 2
     g1, x, y = _xgcd(a1, a2)
-    g, p, w = _xgcd(g1, s)
-    if g != 1:
-        raise DomainError(f"non-concordant pair: gcd(a, a', (b+b')/2) = {g}")
-    mod = 2 * a1 * a2
-    bb = (p * x * a1 * b2 + p * y * a2 * b1 + w * ((b1 * b2 + d) // 2)) % mod
-    if (bb - b1) % (2 * a1) or (bb - b2) % (2 * a2) or (bb * bb - d) % (2 * mod):
+    e, p, w = _xgcd(g1, s)
+    h = (b1 * b2 + d) // 2
+    mod = 2 * (a1 // e) * (a2 // e)
+    bb = (p * x * a1 * b2 + p * y * a2 * b1 + w * h) // e % mod
+    if (a1 // e) * (bb - b2) % mod or (a2 // e) * (bb - b1) % mod or (s * bb - h) // e % mod:
         raise AssertionError(
             f"no composite middle coefficient for ({a1},{b1}) and ({a2},{b2}) at d = {d}"
         )
@@ -194,12 +182,12 @@ def composition_b(a1: int, b1: int, a2: int, b2: int, d: int) -> int:
 
 
 def compose_crt(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Composition via the congruence route, returned reduced."""
+    """Composition via the congruence route, returned reduced: the composite
+    (a*a'/e^2, B, (B^2 - d)/(4*a*a'/e^2)) of any pair, B from composition_b."""
     _check_same_disc(f.disc, g.disc)
     d = f.disc.d
-    if not is_concordant(f, g):
-        g = coprime_equivalent(g, 2 * f.a * d)
     bb = composition_b(f.a, f.b, g.a, g.b, d)
-    aa = f.a * g.a
+    e = math.gcd(f.a, g.a, (f.b + g.b) // 2)
+    aa = (f.a // e) * (g.a // e)
     raw = BinaryForm(aa, bb, (bb * bb - d) // (4 * aa), f.disc)
     return reduce_form(raw)[0]

@@ -131,11 +131,13 @@ def tau_pair(alpha: OrderIdeal, beta: OrderIdeal):
 
     B is the composite middle coefficient (least non-negative modulo
     2*a*a'), b + 2*k1*a = b' + 2*k2*a' = B, tau1 = [[a', k1], [0, 1]] and
-    tau2 = [[a, k2], [0, 1]]. Only defined for concordant pairs: for any
-    other pair composition_b raises DomainError("non-concordant pair: ..."),
-    and compose_via_matrices repairs such a pair before it gets here.
+    tau2 = [[a, k2], [0, 1]]. Only defined for concordant pairs: any other
+    pair raises DomainError, and compose_via_matrices repairs it first.
     """
     _check_same_disc(alpha.disc, beta.disc)
+    e = math.gcd(alpha.a, beta.a, (alpha.b + beta.b) // 2)
+    if e != 1:
+        raise DomainError(f"non-concordant pair: gcd(a, a', (b+b')/2) = {e}")
     bb = composition_b(alpha.a, alpha.b, beta.a, beta.b, alpha.disc.d)
     k1, r1 = divmod(bb - alpha.b, 2 * alpha.a)
     k2, r2 = divmod(bb - beta.b, 2 * beta.a)

@@ -326,6 +326,22 @@ def test_integers_of_any_length(capsys):
     assert out.splitlines()[0] == f"(1,1,{c})"
 
 
+def test_digit_limit_is_restored(capsys):
+    # the 4300-digit guard on int/str conversion is lifted only while a
+    # command runs, whether it succeeds or fails
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run_cli(capsys, "compose", "-d", "-23", "(2,1,3)", "(2,1,3)")[0] == 0
+        assert sys.get_int_max_str_digits() == 5000
+        assert run_cli(capsys, "reduce", "-d", "-23", "(1,1,7)")[0] == 1
+        assert sys.get_int_max_str_digits() == 5000
+        assert run_cli(capsys, "reduce", "-d", "-23", "(1,1)")[0] == 2
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 def run_child(*args):
     """`python *args` in a child that runs the checkout's package, installed or not."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))

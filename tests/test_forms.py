@@ -164,7 +164,8 @@ def test_compose_identity():
 def test_compose_square_and_inverse_pair():
     f = bf(2, 1, 3)
     assert compose_crt(f, f).triple() == (2, -1, 3)
-    # the inverse pair hits the non-concordant repair (gcd(2,2,0) = 2)
+    # the inverse pair is not concordant (gcd(2, 2, 0) = 2); the closed
+    # form composes it all the same, with e = 2
     assert not is_concordant(f, bf(2, -1, 3))
     assert compose_crt(f, bf(2, -1, 3)).triple() == (1, 1, 6)
 
@@ -226,16 +227,21 @@ def test_crt_matches_ideal_route_random():
 
 
 def _composition_b_by_search(a1, b1, a2, b2, d):
-    # reference: CRT for the two linear congruences, then scan the
-    # gcd(a1, a2) lifts modulo 2*a1*a2 for the one with B^2 = d (mod 4*a1*a2)
-    m1, m2 = 2 * a1, 2 * a2
+    # reference: CRT for B = b1 (mod 2*a1/e) and B = b2 (mod 2*a2/e), then
+    # scan the lifts modulo 2*a3 = 2*a1*a2/e^2 for those with
+    # (s/e)*B = (b1*b2 + d)/(2e) (mod 2*a3); exactly one must be left
+    s = (b1 + b2) // 2
+    e = math.gcd(a1, a2, s)
+    m1, m2 = 2 * a1 // e, 2 * a2 // e
     g, x, _ = _xgcd(m1, m2)
     assert (b2 - b1) % g == 0
     lcm = m1 // g * m2
     b0 = (b1 + (b2 - b1) // g * x % (m2 // g) * m1) % lcm
-    mod = m1 * a2
-    candidates = [bb for bb in range(b0, mod, lcm) if (bb * bb - d) % (2 * mod) == 0]
+    mod = 2 * (a1 // e) * (a2 // e)
+    rhs = (b1 * b2 + d) // (2 * e)
+    candidates = [bb for bb in range(b0, mod, lcm) if (s // e * bb - rhs) % mod == 0]
     assert len(candidates) == 1, candidates
+    assert (candidates[0] ** 2 - d) % (2 * mod) == 0
     return candidates[0]
 
 
@@ -247,18 +253,38 @@ def test_composition_b_matches_search():
         forms = enumerate_reduced(Discriminant(dv))
         for f in forms:
             for g in forms:
-                if not is_concordant(f, g):
-                    continue
                 expected = _composition_b_by_search(f.a, f.b, g.a, g.b, dv)
                 assert composition_b(f.a, f.b, g.a, g.b, dv) == expected, (dv, f, g)
                 pairs += 1
-    assert pairs > 100000
+    assert pairs == 240907
 
 
-def test_composition_b_rejects_non_concordant():
-    # (2,1,3) and its inverse (2,-1,3): gcd(2, 2, 0) = 2
-    with pytest.raises(DomainError, match="non-concordant"):
-        composition_b(2, 1, 2, -1, -23)
+def test_composition_b_non_concordant_examples():
+    # (2,1,3) times its inverse at d = -23, e = 2: the composite is (1,1,6)
+    assert composition_b(2, 1, 2, -1, -23) == 1
+    # (4,-2,5) squared at d = -76, e = 2: B = 6 also meets B = b (mod 2a)
+    # and B^2 = d (mod 4*a3), but (4,6,7) is the inverse class
+    assert composition_b(4, -2, 4, -2, -76) == 2
+
+
+def test_crt_and_ideal_routes_agree_before_reduction():
+    # every ordered pair, concordant or not: ideal_mul's content is e and its
+    # ideal is the CRT composite (a*a'/e^2, B, (B^2 - d)/(4*a*a'/e^2))
+    pairs = 0
+    for dv in range(-3, -1001, -1):
+        if dv % 4 not in (0, 1):
+            continue
+        forms = enumerate_reduced(Discriminant(dv))
+        for f in forms:
+            for g in forms:
+                e = math.gcd(f.a, g.a, (f.b + g.b) // 2)
+                a3 = f.a * g.a // (e * e)
+                bb = composition_b(f.a, f.b, g.a, g.b, dv)
+                content, prod = ideal_mul(form_to_ideal(f), form_to_ideal(g))
+                assert content == e, (dv, f, g)
+                assert ideal_to_form(prod).triple() == (a3, bb, (bb * bb - dv) // (4 * a3))
+                pairs += 1
+    assert pairs > 50000
 
 
 def _form_near_sqrt(digits, rng):

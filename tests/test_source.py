@@ -77,3 +77,17 @@ def test_bool_is_excluded_by_exact_int_checks():
                     ):
                         found.append(f"{path.stem}.{fn.name}")
     assert found == ["cli._stringify"]
+
+
+def test_crt_route_makes_no_repair():
+    # the congruence route composes every pair in one closed form; the
+    # concordance test and the coprime repair belong to the matrix route
+    tree = ast.parse((SRC / "forms.py").read_text(), "forms.py")
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "compose_crt")
+    called = {
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+    }
+    assert "composition_b" in called
+    assert not called & {"is_concordant", "coprime_equivalent"}

@@ -13,7 +13,7 @@ from quadgenus.arith import Discriminant, DomainError, QuadInt
 from quadgenus.forms import BinaryForm
 from quadgenus.ideals import OrderIdeal
 from quadgenus.lattice import GenTuple, hnf_basis
-from quadgenus.normforms import MultiQuadraticForm
+from quadgenus.normforms import MultiQuadraticForm, integral_tuple, principal_norm_form
 
 D23 = Discriminant(-23)
 
@@ -147,3 +147,51 @@ def test_str_and_repr(value, text, rep):
 def test_unequal_values(x, y):
     assert x != y
     assert len({x, y}) == 2
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        (lambda: GenTuple([]), DomainError("generator tuple needs at least one coefficient")),
+        (lambda: _tuple().padded(1), DomainError("cannot pad 2 generators down to 1")),
+        (
+            lambda: MultiQuadraticForm(3, {}, D23).binary_triple(),
+            DomainError("need a binary form, this one has 3 variables"),
+        ),
+        (lambda: integral_tuple(D23, 1), DomainError("the order needs at least two generators")),
+        (
+            lambda: principal_norm_form(D23, 1),
+            DomainError("the order needs at least two generators"),
+        ),
+        (lambda: OrderIdeal(3, 1, D23).norm(), 3),
+        (lambda: list(_tuple()), [QuadInt.from_int(4, D23), QuadInt(1, -1, D23)]),
+        (lambda: QuadInt(0, 0, D23).is_zero(), True),
+        (lambda: QuadInt(1, 1, D23).is_zero(), False),
+        (lambda: bool(QuadInt(0, 0, D23)), False),
+        (lambda: bool(QuadInt(2, 0, D23)), True),
+        (lambda: BinaryForm(2, 1, 3, D23).inverse(), BinaryForm(2, -1, 3, D23)),
+        (lambda: BinaryForm(4, 5, 3, D23).inverse(), BinaryForm(2, 1, 3, D23)),
+    ],
+    ids=[
+        "gentuple-empty",
+        "gentuple-pad-down",
+        "binary-triple-of-ternary",
+        "integral-tuple-one-variable",
+        "principal-norm-form-one-variable",
+        "ideal-norm",
+        "gentuple-iter",
+        "quadint-zero",
+        "quadint-nonzero",
+        "quadint-bool-zero",
+        "quadint-bool-nonzero",
+        "form-inverse",
+        "form-inverse-reduces",
+    ],
+)
+def test_public_paths(call, expected):
+    if isinstance(expected, DomainError):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == str(expected)
+    else:
+        assert call() == expected
