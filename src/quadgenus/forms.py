@@ -136,8 +136,11 @@ def coprime_equivalent(g: BinaryForm, n: int) -> BinaryForm:
     Scans primitively-represented values g(x, y) over squares of growing
     radius and moves the first hit to the leading position by a
     determinant-1 substitution. A primitive form represents values coprime
-    to any fixed modulus, so the scan terminates.
+    to any fixed nonzero modulus, so the scan terminates; n = 0 raises
+    DomainError.
     """
+    if not n:
+        raise DomainError("coprime_equivalent needs a nonzero modulus")
     n = abs(n)
     if math.gcd(g.a, n) == 1:
         return g

@@ -4,10 +4,11 @@ A tuple (a_1, ..., a_m) of order elements stands for the linear polynomial
 a_1*z_1 + ... + a_m*z_m and spans a sublattice of the order. All lattice
 work happens in exact integer coordinates over the basis (1, omega),
 omega = (d - sqrt(d))/2: the canonical basis is the 2-column Hermite
-normal form of the generators' coordinate rows (Cohen, GTM 138, 2.4.2).
-Only solve_transform reduces rows [u, v, c_1, ..., c_m] that carry the
-generator combination along. contains and solve_transform share one
-back-substitution against that basis.
+normal form of the generators' coordinate rows (Cohen, GTM 138, 2.4.2),
+which hnf_basis and contains take in closed form from one Bezout pass and
+one gcd. Only solve_transform, which needs the generator combination behind
+each basis row, reduces rows [u, v, c_1, ..., c_m] by row operations.
+contains and solve_transform share one back-substitution against the basis.
 
 Integer matrices act on the variables: row j of a matrix h is the image of
 z_j, so a transform sends the coefficient tuple (a_1, ..., a_m) to the
@@ -16,6 +17,8 @@ matrix product g @ h (see mat_mul).
 """
 
 from __future__ import annotations
+
+import math
 
 from .arith import DomainError, Discriminant, QuadInt, _Value, _check_same_disc, _xgcd
 
@@ -153,11 +156,30 @@ def _hnf_core(rows):
     return int_row, _comb(sign, omega_row, -k, int_row)
 
 
+def _basis_rows(coords):
+    """Triangular basis rows (n, 0) and (u, g) of the coordinate rows
+    (u_i, v_i), in closed form; a missing row is (0, 0).
+
+    g = gcd(v_i) and (u, g) is the rows' Bezout combination; every row
+    minus (v_i/g)*(u, g) lies on the integer axis, so those differences
+    span L intersect Z = nZ, and u is reduced modulo n when n > 0.
+    """
+    u = g = 0
+    for ui, vi in coords:
+        if vi:
+            g, x, y = _xgcd(g, vi)
+            u = x * u + y * ui
+    if not g:
+        return (math.gcd(*(ui for ui, _ in coords)), 0), (0, 0)
+    n = math.gcd(*(ui - vi // g * u for ui, vi in coords))
+    return (n, 0), (u % n if n else u, g)
+
+
 def hnf_basis(x: GenTuple) -> ZModuleBasis:
     """Canonical triangular basis of the lattice x spans."""
     # the integer row first, like the usual [a, xi] ideal notation
-    rows = _hnf_core(x.coords())
-    return ZModuleBasis(x.disc, tuple((r[0], r[1]) for r in rows if r[0] or r[1]))
+    rows = _basis_rows(x.coords())
+    return ZModuleBasis(x.disc, tuple(r for r in rows if r[0] or r[1]))
 
 
 def _solve_coords(int_row, omega_row, target):
@@ -182,7 +204,7 @@ def _solve_coords(int_row, omega_row, target):
 def contains(x: GenTuple, y: GenTuple) -> bool:
     """True iff the lattice of y lies inside the lattice of x."""
     _check_same_disc(x.disc, y.disc)
-    int_row, omega_row = _hnf_core(x.coords())
+    int_row, omega_row = _basis_rows(x.coords())
     return all(_solve_coords(int_row, omega_row, c) is not None for c in y.coords())
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from quadgenus.arith import Discriminant, QuadInt
 from quadgenus.classgroup import cl_mod_squares, class_group, two_torsion
-from quadgenus.forms import enumerate_reduced, principal_form, reduce_form
+from quadgenus.forms import compose_crt, enumerate_reduced, principal_form, reduce_form
 from quadgenus.ideals import (
     OrderIdeal,
     compose_via_matrices,
@@ -118,6 +118,29 @@ def test_c1_dual_oracle_composition(groups):
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"criterion 1 took {elapsed:.1f}s"
     print(f"\nACCEPT 1 dual-oracle composition: PASS ({pairs} pairs, {elapsed:.1f}s)")
+
+
+def test_c1_dual_oracle_non_fundamental():
+    """Criterion 1 on the orders of conductor > 1: CRT, matrix and ideal
+    composition agree on every ordered pair of reduced forms for every
+    non-fundamental d in [-1200, -3]. In this range every pair whose B is
+    not pinned down by B = b1, B = b2 and B^2 = d alone lies at such a d."""
+    t0 = time.monotonic()
+    pairs = 0
+    for d in range(-3, -1201, -1):
+        if d % 4 not in (0, 1) or _is_fundamental(d):
+            continue
+        forms = enumerate_reduced(Discriminant(d))
+        ideals = [form_to_ideal(f) for f in forms]
+        for f, alpha in zip(forms, ideals):
+            for g, beta in zip(forms, ideals):
+                crt = compose_crt(f, g)
+                mat = compose_via_matrices(f, g)
+                idl = reduce_form(ideal_to_form(ideal_mul(alpha, beta)[1]))[0]
+                assert crt == mat == idl, (d, f.triple(), g.triple())
+                pairs += 1
+    elapsed = time.monotonic() - t0
+    print(f"\nACCEPT 1b dual-oracle, non-fundamental d: PASS ({pairs} pairs, {elapsed:.1f}s)")
 
 
 def test_c2_matrix_closed_form():

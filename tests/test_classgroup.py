@@ -153,6 +153,46 @@ def test_two_torsion_equals_genus_order():
         assert len(two_torsion(g)) == cl_mod_squares(g)[0]
 
 
+def _kronecker_symbols(d, spf):
+    """[(d/a) for a < len(spf)], spf[a] the least prime factor of a > 1: the
+    Kronecker symbol is completely multiplicative in a > 0, (d/2) comes from
+    d mod 8 and (d/p) from Euler's criterion at odd primes p."""
+    chi = [0, 1]
+    for a in range(2, len(spf)):
+        p = spf[a]
+        if a != p:
+            chi.append(chi[p] * chi[a // p])
+        elif p == 2:
+            chi.append(0 if d % 2 == 0 else 1 if d % 8 in (1, 7) else -1)
+        else:
+            r = pow(d, (p - 1) // 2, p)
+            chi.append(r if r <= 1 else -1)
+    return chi
+
+
+def test_dirichlet_class_number_formula():
+    # h(d) = -(w/(2|d|)) * sum_{a=1}^{|d|} (d/a)*a for fundamental d < 0,
+    # w the number of units: an analytic oracle independent of the forms
+    limit = 2000
+    spf = list(range(limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        for k in range(p * p, limit + 1, p):
+            if spf[k] == k:
+                spf[k] = p
+    t0 = time.monotonic()
+    checked = 0
+    for d in range(-3, -limit - 1, -1):
+        if not _is_fundamental(d):
+            continue
+        w = {-3: 6, -4: 4}.get(d, 2)
+        total = sum(c * a for a, c in enumerate(_kronecker_symbols(d, spf[: 1 - d])))
+        h, r = divmod(-w * total, -2 * d)
+        assert r == 0 and h == class_group(Discriminant(d)).h, d
+        checked += 1
+    assert checked == 611
+    assert time.monotonic() - t0 < 2.0
+
+
 def test_inverse_lands_in_same_coset():
     # conjugation acts trivially on the quotient by squares
     for dv in (-23, -84, -120, -231, -479, -455):

@@ -187,6 +187,14 @@ def test_coprime_equivalent():
         checked += 1
 
 
+def test_coprime_equivalent_rejects_zero_modulus():
+    # only +-1 is coprime to 0, so a zero modulus is refused, even for the
+    # principal form, whose leading 1 would pass the gcd test
+    for f in (bf(2, 1, 3), bf(1, 1, 6)):
+        with pytest.raises(DomainError, match="nonzero modulus"):
+            coprime_equivalent(f, 0)
+
+
 def test_group_laws_small_range():
     for dv in range(-3, -300, -1):
         if dv % 4 not in (0, 1):

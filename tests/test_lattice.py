@@ -6,7 +6,8 @@ from sympy.matrices.normalforms import hermite_normal_form
 
 from quadgenus import lattice
 from quadgenus.arith import Discriminant, DomainError, QuadInt
-from quadgenus.ideals import OrderIdeal, ideal_mul
+from quadgenus.forms import enumerate_reduced
+from quadgenus.ideals import OrderIdeal, form_to_ideal, ideal_mul
 from quadgenus.lattice import (
     GenTuple,
     apply_transform,
@@ -112,15 +113,26 @@ def test_hnf_against_sympy():
 
 
 def test_only_solve_transform_carries_provenance(monkeypatch):
-    # hnf_basis, contains and the ideal product reduce bare [u, v] rows
-    lengths = []
-    comb = lattice._comb
+    # hnf_basis, contains and the ideal product take the closed form on
+    # bare [u, v] rows; only solve_transform runs the row-operation core,
+    # on rows that carry the generator combination along
+    widths = {"_hnf_core": [], "_basis_rows": [], "_comb": []}
 
-    def recording(x, r, y, s):
-        lengths.append((len(r), len(s)))
-        return comb(x, r, y, s)
+    def recording(name, measure):
+        fn = getattr(lattice, name)
 
-    monkeypatch.setattr(lattice, "_comb", recording)
+        def wrapped(*args):
+            widths[name].append(measure(*args))
+            return fn(*args)
+
+        monkeypatch.setattr(lattice, name, wrapped)
+
+    def row_widths(rows):
+        return tuple(len(r) for r in rows)
+
+    recording("_hnf_core", row_widths)
+    recording("_basis_rows", row_widths)
+    recording("_comb", lambda x, r, y, s: (len(r), len(s)))
     rng = random.Random(11)
     for m in (1, 2, 3, 5):
         x, y = _random_tuple(rng, D23, m), _random_tuple(rng, D23, m)
@@ -128,10 +140,69 @@ def test_only_solve_transform_carries_provenance(monkeypatch):
         contains(x, y)
         contains(x, module_mul(x, y))
     ideal_mul(OrderIdeal(2, 1, D23), OrderIdeal(3, 1, D23))
-    assert lengths and set(lengths) == {(2, 2)}
-    lengths.clear()
+    assert widths["_hnf_core"] == []
+    assert widths["_basis_rows"] and {w for ws in widths["_basis_rows"] for w in ws} == {2}
+    assert widths["_comb"] and set(widths["_comb"]) == {(2, 2)}
+    for ws in widths.values():
+        ws.clear()
     solve_transform(integral(), _random_tuple(rng, D23, 3))
-    assert lengths and set(lengths) == {(5, 5)}
+    assert widths["_basis_rows"] == []
+    assert widths["_hnf_core"] == [(5, 5)]
+    assert widths["_comb"] and set(widths["_comb"]) == {(5, 5)}
+
+
+def _random_rows(rng, m, digits):
+    """m coordinate rows with entries below 10^digits in size, some of them
+    zero or parallel to another row, and of every rank."""
+    bound = 10**digits
+    rows = []
+    for _ in range(m):
+        kind = rng.randrange(6)
+        if kind == 0:
+            rows.append((0, 0))
+        elif kind == 1 and rows:
+            k = rng.randrange(-5, 6)
+            u, v = rng.choice(rows)
+            rows.append((k * u, k * v))
+        elif kind == 2:
+            rows.append((rng.randrange(-bound, bound + 1), 0))
+        elif kind == 3:
+            rows.append((0, rng.randrange(-bound, bound + 1)))
+        else:
+            rows.append((rng.randrange(-bound, bound + 1), rng.randrange(-bound, bound + 1)))
+    return rows
+
+
+def _core_rows(rows):
+    return tuple(tuple(r) for r in lattice._hnf_core(rows))
+
+
+def test_closed_form_matches_row_operations():
+    rng = random.Random(14)
+    ranks = set()
+    for m in range(1, 9):
+        for digits in (1, 3, 20, 60):
+            for _ in range(60):
+                rows = _random_rows(rng, m, digits)
+                (n, _), (_, g) = closed = lattice._basis_rows(rows)
+                assert closed == _core_rows(rows), rows
+                ranks.add(bool(n) + bool(g))
+    assert ranks == {0, 1, 2}
+
+
+def test_closed_form_matches_row_operations_on_ideal_products():
+    pairs = 0
+    for dv in range(-3, -401, -1):
+        if dv % 4 not in (0, 1):
+            continue
+        d = Discriminant(dv)
+        tuples = [form_to_ideal(f).gen_tuple() for f in enumerate_reduced(d)]
+        for x in tuples:
+            for y in tuples:
+                coords = module_mul(x, y).coords()
+                assert lattice._basis_rows(coords) == _core_rows(coords), (dv, x, y)
+                pairs += 1
+    assert pairs == 8828
 
 
 def test_hnf_idempotent_and_order_independent():

@@ -91,3 +91,16 @@ def test_crt_route_makes_no_repair():
     }
     assert "composition_b" in called
     assert not called & {"is_concordant", "coprime_equivalent"}
+
+
+def test_only_solve_transform_runs_row_operations():
+    # hnf_basis and contains take the canonical basis in closed form; the
+    # row-operation core serves the one caller that needs provenance
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_hnf_core":
+                        callers.add(f"{path.stem}.{fn.name}")
+    assert callers == {"lattice.solve_transform"}
