@@ -7,10 +7,10 @@ b only matters modulo 2a, so equality compares (a, b mod 2a).
 
 The form <-> ideal dictionary (a, b, c) <-> [a, b] is written down in both
 directions (Cohen, GTM 138, 5.2), so the ideal route's own work is the
-lattice product and HNF in ideal_mul. The module also carries the explicit
-matrix composition pipeline: h moving the order onto an ideal, the tau pair
-moving two ideals onto their product, and binary form composition done
-entirely by matrix substitution into the order's own norm form.
+lattice product in ideal_mul and the basis rows it reads off. The module
+also carries the explicit matrix composition pipeline: h moving the order
+onto an ideal, the tau pair moving two ideals onto their product, and binary
+form composition by one substitution of h @ tau1 into the order's norm form.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .forms import (
     is_concordant,
     reduce_form,
 )
-from .lattice import GenTuple, hnf_basis, module_mul
+from .lattice import GenTuple, _basis_rows, module_mul
 from .normforms import _substitute, principal_norm_form
 
 __all__ = [
@@ -103,14 +103,13 @@ def ideal_mul(alpha: OrderIdeal, beta: OrderIdeal) -> tuple[int, OrderIdeal]:
     The product lattice is content * [a, (-b+sqrt(d))/2]; the content is 1
     exactly in the concordant cases (for example alpha * conj(alpha) is
     norm(alpha) times the order). Output b is the least non-negative
-    residue modulo 2a.
+    residue modulo 2a; the basis rows are read straight off _basis_rows.
     """
     _check_same_disc(alpha.disc, beta.disc)
     prod = module_mul(alpha.gen_tuple(), beta.gen_tuple())
-    basis = hnf_basis(prod)
-    if basis.rank != 2:
+    (n, zero), (u, v) = _basis_rows(prod.coords())
+    if not n or not v:
         raise AssertionError("ideal product degenerated")
-    (n, zero), (u, v) = basis.coord_rows()
     if zero != 0 or n % v or u % v:
         raise AssertionError("ideal product is not an ideal")
     content = v
@@ -151,8 +150,8 @@ def tau_pair(alpha: OrderIdeal, beta: OrderIdeal):
 def compose_via_matrices(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Composition via matrix substitution into the order's norm form.
 
-    Applies h_alpha then tau1 to the principal norm form, divides every
-    coefficient by a*a' (exactly), and reduces. Agrees with compose_crt.
+    Substitutes h_alpha @ tau1 (first h_alpha, then tau1) once into the
+    principal norm form, divides by a*a' (exactly), and reduces.
     """
     _check_same_disc(f.disc, g.disc)
     disc = f.disc
@@ -160,8 +159,10 @@ def compose_via_matrices(f: BinaryForm, g: BinaryForm) -> BinaryForm:
         g = coprime_equivalent(g, 2 * f.a * disc.d)
     alpha = form_to_ideal(f)
     beta = form_to_ideal(g)
-    tau1 = tau_pair(alpha, beta)[0]
-    carried = _substitute(tau1, _substitute(h_alpha(alpha), principal_norm_form(disc)))
+    (p, q), (r, s) = h_alpha(alpha)
+    (w, x), (y, z) = tau_pair(alpha, beta)[0]
+    h = ((p * w + q * y, p * x + q * z), (r * w + s * y, r * x + s * z))
+    carried = _substitute(h, principal_norm_form(disc))
     aa = f.a * g.a
     triple = carried.binary_triple()
     if any(x % aa for x in triple):

@@ -182,12 +182,8 @@ def hnf_basis(x: GenTuple) -> ZModuleBasis:
     return ZModuleBasis(x.disc, tuple(r for r in rows if r[0] or r[1]))
 
 
-def _solve_coords(int_row, omega_row, target):
-    """Combination columns (after u, v) producing target = (s, t), or None.
-
-    Back-substitutes t against omega_row, then s against int_row; bare
-    [u, v] rows give [], which still means solvable.
-    """
+def _back_substitute(int_row, omega_row, target):
+    """(k1, k2) with k1*int_row + k2*omega_row = target in (u, v), or None."""
     s, t = target
     k2 = 0
     if omega_row[1]:
@@ -196,16 +192,14 @@ def _solve_coords(int_row, omega_row, target):
     k1 = 0
     if int_row[0]:
         k1, s = divmod(s, int_row[0])
-    if s or t:
-        return None
-    return _comb(k1, int_row, k2, omega_row)[2:]
+    return None if s or t else (k1, k2)
 
 
 def contains(x: GenTuple, y: GenTuple) -> bool:
     """True iff the lattice of y lies inside the lattice of x."""
     _check_same_disc(x.disc, y.disc)
     int_row, omega_row = _basis_rows(x.coords())
-    return all(_solve_coords(int_row, omega_row, c) is not None for c in y.coords())
+    return all(_back_substitute(int_row, omega_row, c) is not None for c in y.coords())
 
 
 def solve_transform(x: GenTuple, y: GenTuple) -> tuple[tuple[int, ...], ...]:
@@ -225,10 +219,10 @@ def solve_transform(x: GenTuple, y: GenTuple) -> tuple[tuple[int, ...], ...]:
     int_row, omega_row = _hnf_core(rows)
     cols = []
     for c in y.padded(m).coords():
-        col = _solve_coords(int_row, omega_row, c)
-        if col is None:
+        k = _back_substitute(int_row, omega_row, c)
+        if k is None:
             raise DomainError("not a submodule")
-        cols.append(col)
+        cols.append(_comb(k[0], int_row, k[1], omega_row)[2:])
     return tuple(zip(*cols))
 
 

@@ -1,4 +1,5 @@
 import inspect
+import math
 import os
 import random
 import subprocess
@@ -14,7 +15,10 @@ from quadgenus.arith import Discriminant, DomainError
 from quadgenus.forms import (
     BinaryForm,
     compose_crt,
+    coprime_equivalent,
     enumerate_reduced,
+    form_inverse,
+    is_concordant,
     is_equivalent,
     principal_form,
     reduce_form,
@@ -28,7 +32,7 @@ from quadgenus.ideals import (
     ideal_to_form,
     tau_pair,
 )
-from quadgenus.lattice import apply_transform, mat_mul
+from quadgenus.lattice import apply_transform, hnf_basis, mat_mul, module_mul
 from quadgenus.normforms import form_action, integral_tuple, principal_norm_form
 
 D23 = Discriminant(-23)
@@ -332,6 +336,109 @@ def test_commuting_square_random():
         _, prod = ideal_mul(form_to_ideal(f), form_to_ideal(g))
         assert is_equivalent(ideal_to_form(prod), compose_crt(f, g))
         checked += 1
+
+
+def _two_step_triple(f, g):
+    """The matrix route's unreduced triple, substituting h_alpha and then
+    tau1 one after the other into the principal norm form."""
+    disc = f.disc
+    if not is_concordant(f, g):
+        g = coprime_equivalent(g, 2 * f.a * disc.d)
+    alpha, beta = form_to_ideal(f), form_to_ideal(g)
+    tau1 = tau_pair(alpha, beta)[0]
+    step = normforms._substitute(h_alpha(alpha), principal_norm_form(disc))
+    triple = normforms._substitute(tau1, step).binary_triple()
+    aa = f.a * g.a
+    assert all(x % aa == 0 for x in triple)
+    return tuple(x // aa for x in triple)
+
+
+def _basis_ideal_mul(alpha, beta):
+    """ideal_mul through the canonical ZModuleBasis of the product lattice."""
+    (n, zero), (u, v) = hnf_basis(module_mul(alpha.gen_tuple(), beta.gen_tuple())).coord_rows()
+    assert zero == 0 and n % v == 0 and u % v == 0
+    a = n // v
+    return v, a, (2 * (u // v) + alpha.disc.d) % (2 * a)
+
+
+def _every_pair_up_to(bound):
+    return _every_pair(*(dv for dv in range(-3, -bound - 1, -1) if dv % 4 in (0, 1)))
+
+
+def _forms_at_digits(digits, rng):
+    """A form f at a d of the given length, with f^2, f^3, their inverses
+    and the principal form: every ordered pair includes squares and inverses."""
+    a = math.isqrt(10**digits // 8) + rng.randrange(10**6)
+    while True:
+        c = a + rng.randrange(1, 10**6)
+        b = rng.randrange(-a + 1, a + 1)
+        if math.gcd(a, b, c) == 1:
+            break
+    f = reduce_form(BinaryForm(a, b, c, Discriminant(b * b - 4 * a * c)))[0]
+    assert len(str(-f.disc.d)) == digits
+    f2 = compose_crt(f, f)
+    f3 = compose_crt(f2, f)
+    powers = (f, f2, f3)
+    return powers + tuple(form_inverse(h) for h in powers) + (principal_form(f.disc),)
+
+
+def _big_pairs():
+    rng = random.Random(15)
+    for digits in (20, 50, 200):
+        for _ in range(2):
+            forms = _forms_at_digits(digits, rng)
+            for f in forms:
+                for g in forms:
+                    yield f, g
+
+
+def _route_triples(monkeypatch, pairs):
+    """(f, g, the route's unreduced triple, the two-step triple) per pair."""
+    raw = []
+
+    def recording(form):
+        raw.append(form.triple())
+        return reduce_form(form)
+
+    monkeypatch.setattr(ideals, "reduce_form", recording)
+    for f, g in pairs:
+        compose_via_matrices(f, g)
+        yield f, g, raw.pop(), _two_step_triple(f, g)
+
+
+def test_one_substitution_matches_two_steps(monkeypatch):
+    # h_alpha @ tau1 substituted once gives the unreduced triple of h_alpha
+    # and tau1 substituted in turn, on every ordered pair, repaired ones too
+    repaired = checked = 0
+    for f, g, one, two in _route_triples(monkeypatch, _every_pair_up_to(1200)):
+        assert one == two, (f, g)
+        repaired += not is_concordant(f, g)
+        checked += 1
+    assert checked == 85408 and repaired > 0
+
+
+def test_one_substitution_matches_two_steps_at_large_d(monkeypatch):
+    pairs = list(_big_pairs())
+    assert any(not is_concordant(f, g) for f, g in pairs)
+    for f, g, one, two in _route_triples(monkeypatch, pairs):
+        assert one == two, (f, g)
+
+
+def test_ideal_mul_matches_basis_oracle():
+    checked = 0
+    for f, g in _every_pair_up_to(1000):
+        alpha, beta = form_to_ideal(f), form_to_ideal(g)
+        content, prod = ideal_mul(alpha, beta)
+        assert (content, prod.a, prod.b) == _basis_ideal_mul(alpha, beta), (f, g)
+        checked += 1
+    assert checked > 50000
+
+
+def test_ideal_mul_matches_basis_oracle_at_large_d():
+    for f, g in _big_pairs():
+        alpha, beta = form_to_ideal(f), form_to_ideal(g)
+        content, prod = ideal_mul(alpha, beta)
+        assert (content, prod.a, prod.b) == _basis_ideal_mul(alpha, beta)
 
 
 def test_str_shapes():

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 import sympy
@@ -114,41 +115,51 @@ def test_hnf_against_sympy():
 
 def test_only_solve_transform_carries_provenance(monkeypatch):
     # hnf_basis, contains and the ideal product take the closed form on
-    # bare [u, v] rows; only solve_transform runs the row-operation core,
-    # on rows that carry the generator combination along
-    widths = {"_hnf_core": [], "_basis_rows": [], "_comb": []}
+    # bare [u, v] rows and combine no rows; only solve_transform runs the
+    # row-operation core, on rows that carry the generator combination along
+    calls = {"_hnf_core": [], "_basis_rows": [], "_comb": [], "hnf_basis": []}
 
     def recording(name, measure):
         fn = getattr(lattice, name)
 
         def wrapped(*args):
-            widths[name].append(measure(*args))
+            calls[name].append(measure(*args))
             return fn(*args)
 
-        monkeypatch.setattr(lattice, name, wrapped)
+        # every module binding: ideals imports _basis_rows by name
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "quadgenus" and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, wrapped)
 
     def row_widths(rows):
         return tuple(len(r) for r in rows)
 
+    def clear():
+        for recorded in calls.values():
+            recorded.clear()
+
     recording("_hnf_core", row_widths)
     recording("_basis_rows", row_widths)
     recording("_comb", lambda x, r, y, s: (len(r), len(s)))
+    recording("hnf_basis", lambda x: x.m)
     rng = random.Random(11)
     for m in (1, 2, 3, 5):
         x, y = _random_tuple(rng, D23, m), _random_tuple(rng, D23, m)
-        hnf_basis(x)
+        lattice.hnf_basis(x)
         contains(x, y)
         contains(x, module_mul(x, y))
+    assert calls["hnf_basis"] == [1, 2, 3, 5]
+    assert calls["_basis_rows"] and {w for ws in calls["_basis_rows"] for w in ws} == {2}
+    assert calls["_hnf_core"] == calls["_comb"] == []
+    clear()
     ideal_mul(OrderIdeal(2, 1, D23), OrderIdeal(3, 1, D23))
-    assert widths["_hnf_core"] == []
-    assert widths["_basis_rows"] and {w for ws in widths["_basis_rows"] for w in ws} == {2}
-    assert widths["_comb"] and set(widths["_comb"]) == {(2, 2)}
-    for ws in widths.values():
-        ws.clear()
+    assert calls["_basis_rows"] == [(2, 2, 2, 2)]
+    assert calls["hnf_basis"] == calls["_hnf_core"] == calls["_comb"] == []
+    clear()
     solve_transform(integral(), _random_tuple(rng, D23, 3))
-    assert widths["_basis_rows"] == []
-    assert widths["_hnf_core"] == [(5, 5)]
-    assert widths["_comb"] and set(widths["_comb"]) == {(5, 5)}
+    assert calls["_basis_rows"] == []
+    assert calls["_hnf_core"] == [(5, 5)]
+    assert calls["_comb"] and set(calls["_comb"]) == {(5, 5)}
 
 
 def _random_rows(rng, m, digits):

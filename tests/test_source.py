@@ -79,16 +79,22 @@ def test_bool_is_excluded_by_exact_int_checks():
     assert found == ["cli._stringify"]
 
 
-def test_crt_route_makes_no_repair():
-    # the congruence route composes every pair in one closed form; the
-    # concordance test and the coprime repair belong to the matrix route
-    tree = ast.parse((SRC / "forms.py").read_text(), "forms.py")
-    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "compose_crt")
-    called = {
+def _calls(name, fn_name):
+    """Names called in the top-level function fn_name of src/quadgenus/<name>,
+    once per call site."""
+    tree = ast.parse((SRC / name).read_text(), name)
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == fn_name)
+    return [
         getattr(node.func, "id", None) or getattr(node.func, "attr", None)
         for node in ast.walk(fn)
         if isinstance(node, ast.Call)
-    }
+    ]
+
+
+def test_crt_route_makes_no_repair():
+    # the congruence route composes every pair in one closed form; the
+    # concordance test and the coprime repair belong to the matrix route
+    called = set(_calls("forms.py", "compose_crt"))
     assert "composition_b" in called
     assert not called & {"is_concordant", "coprime_equivalent"}
 
@@ -104,3 +110,11 @@ def test_only_solve_transform_runs_row_operations():
                     if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_hnf_core":
                         callers.add(f"{path.stem}.{fn.name}")
     assert callers == {"lattice.solve_transform"}
+
+
+def test_matrix_route_substitutes_once():
+    # h_alpha @ tau1 is multiplied inline and substituted once, unchecked
+    called = _calls("ideals.py", "compose_via_matrices")
+    assert called.count("_substitute") == 1
+    assert {"h_alpha", "tau_pair"} <= set(called)
+    assert not set(called) & {"mat_mul", "form_action", "check_matrix"}
