@@ -50,10 +50,15 @@ content, prod = ideal_mul(alpha, alpha)
 print(f"\nideal product alpha^2 = {prod} (content {content})")
 print(f"as a form: {ideal_to_form(prod)}, reduced: {reduce_form(ideal_to_form(prod))[0]}")
 
-# a pair that is not concordant: f and its inverse (gcd(a, a', (b+b')/2) = 2)
+# a pair that is not concordant: f and its inverse (e = gcd(a, a', (b+b')/2) = 2)
 g = f.inverse()
+beta = form_to_ideal(g)
 print(f"\nf = {f} times its inverse {g}:")
 print(f"  congruence route: {compose_crt(f, g)}   (the principal class)")
+tau1, tau2, B, k1, k2 = tau_pair(alpha, beta)
+print(f"  B = {B}, k1 = {k1}, tau1 = {tau1}   (e = 2 in the corner)")
+composite = mat_mul(h_alpha(alpha), tau1)
+print(f"  composite = {composite}   (e * [[aa'/e^2, (B-d)/2], [0, 1]])")
 print(f"  matrix route:     {compose_via_matrices(f, g)}")
-content, prod = ideal_mul(form_to_ideal(f), form_to_ideal(g))
+content, prod = ideal_mul(alpha, beta)
 print(f"  ideal route:      content {content}, primitive part {prod} (norm ideal)")

@@ -126,7 +126,7 @@ def enumerate_reduced(disc: Discriminant) -> list[BinaryForm]:
 
 
 def is_concordant(f: BinaryForm, g: BinaryForm) -> bool:
-    """gcd(a, a', (b + b')/2) == 1, the pairs tau_pair takes unrepaired."""
+    """gcd(a, a', (b + b')/2) == 1: the pairs whose ideal product is primitive."""
     return math.gcd(f.a, math.gcd(g.a, (f.b + g.b) // 2)) == 1
 
 

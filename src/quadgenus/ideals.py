@@ -9,8 +9,9 @@ The form <-> ideal dictionary (a, b, c) <-> [a, b] is written down in both
 directions (Cohen, GTM 138, 5.2), so the ideal route's own work is the
 lattice product in ideal_mul and the basis rows it reads off. The module
 also carries the explicit matrix composition pipeline: h moving the order
-onto an ideal, the tau pair moving two ideals onto their product, and binary
-form composition by one substitution of h @ tau1 into the order's norm form.
+onto an ideal, the tau pair moving two ideals onto e times their product
+(e = gcd(a, a', (b + b')/2)), and binary form composition of any pair by one
+substitution of h @ tau1 into the order's norm form, with no repair step.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from __future__ import annotations
 import math
 
 from .arith import DomainError, Discriminant, QuadInt, _Value, _check_same_disc
-from .forms import (
-    BinaryForm,
-    composition_b,
-    coprime_equivalent,
-    is_concordant,
-    reduce_form,
-)
+from .forms import BinaryForm, composition_b, reduce_form
 from .lattice import GenTuple, _basis_rows, module_mul
 from .normforms import _substitute, principal_norm_form
 
@@ -126,37 +121,34 @@ def h_alpha(alpha: OrderIdeal):
 
 
 def tau_pair(alpha: OrderIdeal, beta: OrderIdeal):
-    """(tau1, tau2, B, k1, k2) moving both ideals onto their product.
+    """(tau1, tau2, B, k1, k2) moving both ideals onto e times their product.
 
-    B is the composite middle coefficient (least non-negative modulo
-    2*a*a'), b + 2*k1*a = b' + 2*k2*a' = B, tau1 = [[a', k1], [0, 1]] and
-    tau2 = [[a, k2], [0, 1]]. Only defined for concordant pairs: any other
-    pair raises DomainError, and compose_via_matrices repairs it first.
+    With e = gcd(a, a', (b + b')/2) the product is e*[a*a'/e^2, B] (Cohen
+    §5.4), B least non-negative modulo 2*a*a'/e^2. Then
+    b + 2*k1*a/e = b' + 2*k2*a'/e = B, tau1 = [[a'/e, k1], [0, e]] and
+    tau2 = [[a/e, k2], [0, e]]; e = 1 on concordant pairs.
     """
     _check_same_disc(alpha.disc, beta.disc)
     e = math.gcd(alpha.a, beta.a, (alpha.b + beta.b) // 2)
-    if e != 1:
-        raise DomainError(f"non-concordant pair: gcd(a, a', (b+b')/2) = {e}")
     bb = composition_b(alpha.a, alpha.b, beta.a, beta.b, alpha.disc.d)
-    k1, r1 = divmod(bb - alpha.b, 2 * alpha.a)
-    k2, r2 = divmod(bb - beta.b, 2 * beta.a)
+    k1, r1 = divmod(bb - alpha.b, 2 * alpha.a // e)
+    k2, r2 = divmod(bb - beta.b, 2 * beta.a // e)
     if r1 or r2:
-        raise AssertionError("composite B is not b (mod 2a) and b' (mod 2a')")
-    tau1 = ((beta.a, k1), (0, 1))
-    tau2 = ((alpha.a, k2), (0, 1))
+        raise AssertionError("composite B is not b (mod 2a/e) and b' (mod 2a'/e)")
+    tau1 = ((beta.a // e, k1), (0, e))
+    tau2 = ((alpha.a // e, k2), (0, e))
     return tau1, tau2, bb, k1, k2
 
 
 def compose_via_matrices(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Composition via matrix substitution into the order's norm form.
 
-    Substitutes h_alpha @ tau1 (first h_alpha, then tau1) once into the
-    principal norm form, divides by a*a' (exactly), and reduces.
+    Substitutes h_alpha @ tau1 (first h_alpha, then tau1), which is
+    e*[[a*a'/e^2, (B-d)/2], [0, 1]], once into the principal norm form,
+    divides by a*a' (exactly), and reduces; every pair takes this one path.
     """
     _check_same_disc(f.disc, g.disc)
     disc = f.disc
-    if not is_concordant(f, g):
-        g = coprime_equivalent(g, 2 * f.a * disc.d)
     alpha = form_to_ideal(f)
     beta = form_to_ideal(g)
     (p, q), (r, s) = h_alpha(alpha)

@@ -2,6 +2,10 @@ import ast
 from pathlib import Path
 
 import quadgenus
+import quadgenus.forms as forms
+from quadgenus.arith import Discriminant
+from quadgenus.ideals import compose_via_matrices
+from test_ideals import _rebind
 
 SRC = Path(quadgenus.__file__).parent
 
@@ -92,11 +96,42 @@ def _calls(name, fn_name):
 
 
 def test_crt_route_makes_no_repair():
-    # the congruence route composes every pair in one closed form; the
-    # concordance test and the coprime repair belong to the matrix route
+    # the congruence route composes every pair in one closed form; no route
+    # calls the concordance test or the coprime repair
     called = set(_calls("forms.py", "compose_crt"))
     assert "composition_b" in called
     assert not called & {"is_concordant", "coprime_equivalent"}
+
+
+def test_matrix_route_makes_no_repair(monkeypatch):
+    # tau_pair carries e = gcd(a, a', (b+b')/2), so every pair takes one
+    # substitution; composition_b is the one composition helper still borrowed
+    assert not set(_calls("ideals.py", "compose_via_matrices")) & {
+        "is_concordant",
+        "coprime_equivalent",
+    }
+    tree = ast.parse((SRC / "ideals.py").read_text(), "ideals.py")
+    borrowed = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "forms"
+        for alias in node.names
+    }
+    assert borrowed == {"BinaryForm", "composition_b", "reduce_form"}
+    calls = []
+    for original in (forms.is_concordant, forms.coprime_equivalent):
+
+        def counted(*args, original=original):
+            calls.append(original.__name__)
+            return original(*args)
+
+        _rebind(monkeypatch, original, counted)
+    for dv in (-23, -76, -84):
+        reduced = forms.enumerate_reduced(Discriminant(dv))
+        for f in reduced:
+            for g in reduced:
+                assert compose_via_matrices(f, g) == forms.compose_crt(f, g)
+    assert calls == []
 
 
 def test_only_solve_transform_runs_row_operations():
