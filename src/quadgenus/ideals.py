@@ -21,7 +21,7 @@ import math
 from .arith import DomainError, Discriminant, QuadInt, _Value, _check_same_disc
 from .forms import BinaryForm, composition_b, reduce_form
 from .lattice import GenTuple, _basis_rows, module_mul
-from .normforms import _substitute, principal_norm_form
+from .normforms import principal_norm_form
 
 __all__ = [
     "OrderIdeal",
@@ -143,20 +143,23 @@ def tau_pair(alpha: OrderIdeal, beta: OrderIdeal):
 def compose_via_matrices(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Composition via matrix substitution into the order's norm form.
 
-    Substitutes h_alpha @ tau1 (first h_alpha, then tau1), which is
-    e*[[a*a'/e^2, (B-d)/2], [0, 1]], once into the principal norm form,
-    divides by a*a' (exactly), and reduces; every pair takes this one path.
+    Multiplies h_alpha @ tau1 = e*[[a*a'/e^2, (B-d)/2], [0, 1]] into
+    ((p, q), (r, s)), writes x -> p*x + q*y, y -> r*x + s*y out on the
+    order's norm form (A, B, C), divides by a*a' (exactly), and reduces.
     """
     _check_same_disc(f.disc, g.disc)
     disc = f.disc
     alpha = form_to_ideal(f)
     beta = form_to_ideal(g)
-    (p, q), (r, s) = h_alpha(alpha)
-    (w, x), (y, z) = tau_pair(alpha, beta)[0]
-    h = ((p * w + q * y, p * x + q * z), (r * w + s * y, r * x + s * z))
-    carried = _substitute(h, principal_norm_form(disc))
+    (hp, hq), (hr, hs) = h_alpha(alpha)
+    (tp, tq), (tr, ts) = tau_pair(alpha, beta)[0]
+    p, q = hp * tp + hq * tr, hp * tq + hq * ts
+    r, s = hr * tp + hs * tr, hr * tq + hs * ts
+    A, B, C = principal_norm_form(disc).binary_triple()
+    triple = (A * p * p + B * p * r + C * r * r,
+              2 * A * p * q + B * (p * s + q * r) + 2 * C * r * s,
+              A * q * q + B * q * s + C * s * s)
     aa = f.a * g.a
-    triple = carried.binary_triple()
     if any(x % aa for x in triple):
         raise AssertionError("matrix composition not divisible by aa'")
     raw = BinaryForm(*(x // aa for x in triple), disc)

@@ -4,8 +4,8 @@ The norm form of (a_1, ..., a_m) is N(sum a_i z_i), an integral quadratic
 form in m variables: the z_i^2 coefficient is norm(a_i) and the z_i z_j
 coefficient is trace(a_i * conj(a_j)). A matrix h acts by substituting
 z_j -> sum_i h[j][i] z_i, and that action commutes with taking norm forms
-of transformed tuples. form_action checks a caller's matrix;
-compose_via_matrices substitutes the ones it builds unchecked.
+of transformed tuples. form_action, the one substitution here, checks h;
+compose_via_matrices writes its own 2x2 substitution out.
 """
 
 from __future__ import annotations
@@ -109,12 +109,8 @@ def norm_form(x: GenTuple) -> MultiQuadraticForm:
 
 
 def form_action(h, f: MultiQuadraticForm) -> MultiQuadraticForm:
-    """Substitute z_j -> sum_i h[j][i] z_i into f and re-expand."""
-    return _substitute(check_matrix(h, f.m), f)
-
-
-def _substitute(rows, f: MultiQuadraticForm) -> MultiQuadraticForm:
-    """form_action on checked rows: h^T A h, folded into the triangle."""
+    """Check h, then substitute z_j -> sum_i h[j][i] z_i into f (h^T A h)."""
+    rows = check_matrix(h, f.m)
     out = dict.fromkeys(_keys(f.m), 0)
     for (i, j), c in f.coeffs.items():
         if c:

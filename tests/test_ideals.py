@@ -253,6 +253,22 @@ def test_matrix_route_checks_only_caller_matrices(monkeypatch):
     assert len(calls) == 1
 
 
+def test_matrix_route_expands_the_general_substitution(monkeypatch):
+    # h_alpha @ tau1 always has r = 0; a unimodular u on the right makes r
+    # non-zero and keeps the class, so every term of the written-out 2x2
+    # substitution has to be right
+    original = ideals.tau_pair
+    for u in (((1, 0), (1, 1)), ((2, 1), (-3, -1)), ((0, -1), (1, 5))):
+
+        def skewed(alpha, beta, u=u):
+            tau1, *rest = original(alpha, beta)
+            return (mat_mul(tau1, u), *rest)
+
+        monkeypatch.setattr(ideals, "tau_pair", skewed)
+        for f, g in _every_pair(-84, -23, -76):
+            assert compose_via_matrices(f, g) == compose_crt(f, g), (f, g, u)
+
+
 # pairs whose matrix-route coefficients the skewed h_alpha leaves not
 # divisible by aa': two with e = 1, and two with e = 2 and 3 where
 # aa'/e^2 = 4 (at aa'/e^2 = 1 the skewed corner still gives the right class)
@@ -341,12 +357,13 @@ def test_commuting_square_random():
 
 def _two_step_triple(f, g):
     """The matrix route's unreduced triple, substituting h_alpha and then
-    tau1 one after the other into the principal norm form."""
+    tau1 one after the other into the principal norm form through the
+    public form_action, which shares no code with the route's expansion."""
     disc = f.disc
     alpha, beta = form_to_ideal(f), form_to_ideal(g)
     tau1 = tau_pair(alpha, beta)[0]
-    step = normforms._substitute(h_alpha(alpha), principal_norm_form(disc))
-    triple = normforms._substitute(tau1, step).binary_triple()
+    step = form_action(h_alpha(alpha), principal_norm_form(disc))
+    triple = form_action(tau1, step).binary_triple()
     aa = f.a * g.a
     assert all(x % aa == 0 for x in triple)
     return tuple(x // aa for x in triple)
@@ -419,8 +436,17 @@ def test_one_substitution_matches_two_steps(monkeypatch):
 def test_one_substitution_matches_two_steps_at_large_d(monkeypatch):
     pairs = list(_big_pairs())
     assert any(not is_concordant(f, g) for f, g in pairs)
+    calls = []
+
+    def counted(h, f, original=form_action):
+        calls.append(h)
+        return original(h, f)
+
+    monkeypatch.setattr(sys.modules[__name__], "form_action", counted)
     for f, g, one, two in _route_triples(monkeypatch, pairs):
         assert one == two, (f, g)
+    # the oracle runs on the public, checked form_action: two calls a pair
+    assert len(calls) == 2 * len(pairs)
 
 
 def test_ideal_mul_matches_basis_oracle():

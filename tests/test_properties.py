@@ -1,0 +1,111 @@
+"""Property tests over reduced forms drawn at |d| up to 10^40.
+
+Derandomized with no example database, so every run draws the same
+examples and the suite stays deterministic.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quadgenus.arith import Discriminant
+from quadgenus.forms import BinaryForm, compose_crt, form_inverse, principal_form, reduce_form
+from quadgenus.ideals import (
+    compose_via_matrices,
+    form_to_ideal,
+    h_alpha,
+    ideal_mul,
+    ideal_to_form,
+    tau_pair,
+)
+from quadgenus.lattice import mat_mul
+from quadgenus.normforms import MultiQuadraticForm, form_action, principal_norm_form
+
+MAX_DIGITS = 40
+
+properties = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+@st.composite
+def reduced_forms(draw):
+    """A reduced primitive form whose |d| = 4ac - b^2 has about n digits,
+    for n drawn up to MAX_DIGITS."""
+    top = 10 ** draw(st.integers(1, MAX_DIGITS))
+    a = draw(st.integers(1, math.isqrt(top // 4)))
+    c = draw(st.integers(max(a, top // (40 * a)), top // (4 * a)))
+    b = draw(st.integers(-a + 1, a))
+    g = math.gcd(a, b, c)
+    a, b, c = a // g, b // g, c // g
+    return reduce_form(BinaryForm(a, b, c, Discriminant(b * b - 4 * a * c)))[0]
+
+
+exponents = st.integers(2, 6)
+
+
+def _power(f, k):
+    out = f
+    for _ in range(k - 1):
+        out = compose_crt(out, f)
+    return out
+
+
+def _pairs(f, k):
+    """(f, f^k), (f^k, f), (f, f^-1) and (f^k, 1): squares, inverses and
+    the identity, where the matrix and ideal routes meet e > 1."""
+    fk = _power(f, k)
+    return ((f, fk), (fk, f), (f, form_inverse(f)), (fk, principal_form(f.disc)))
+
+
+def _ideal_route(f, g):
+    _, prod = ideal_mul(form_to_ideal(f), form_to_ideal(g))
+    return reduce_form(ideal_to_form(prod))[0]
+
+
+def _public_expansion(f, g):
+    """The matrix route through the public, checked mat_mul and form_action."""
+    alpha, beta = form_to_ideal(f), form_to_ideal(g)
+    h = mat_mul(h_alpha(alpha), tau_pair(alpha, beta)[0])
+    triple = form_action(h, principal_norm_form(f.disc)).binary_triple()
+    aa = f.a * g.a
+    assert all(x % aa == 0 for x in triple)
+    return reduce_form(BinaryForm(*(x // aa for x in triple), f.disc))[0]
+
+
+@properties
+@given(reduced_forms(), exponents)
+def test_three_routes_agree(f, k):
+    for g, h in _pairs(f, k):
+        crt = compose_crt(g, h)
+        assert compose_via_matrices(g, h) == crt, (g, h)
+        assert _ideal_route(g, h) == crt, (g, h)
+
+
+@properties
+@given(reduced_forms(), exponents)
+def test_matrix_route_equals_its_public_expansion(f, k):
+    for g, h in _pairs(f, k):
+        assert compose_via_matrices(g, h) == _public_expansion(g, h), (g, h)
+
+
+@properties
+@given(reduced_forms(), exponents, exponents, exponents)
+def test_compose_crt_is_associative_with_inverses(f, i, j, k):
+    x, y, z = _power(f, i), _power(f, j), _power(form_inverse(f), k)
+    assert compose_crt(compose_crt(x, y), z) == compose_crt(x, compose_crt(y, z))
+    assert compose_crt(f, form_inverse(f)) == principal_form(f.disc)
+
+
+@properties
+@given(reduced_forms(), st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4))
+def test_reduce_witness_carries_the_form_onto_its_reduction(f, steps):
+    # unreduce f by a product of T^n @ S, which has determinant 1
+    m = ((1, 0), (0, 1))
+    for n in steps:
+        m = mat_mul(m, ((n, -1), (1, 0)))
+    messy = form_action(m, MultiQuadraticForm.from_binary_triple(*f.triple(), f.disc))
+    g = BinaryForm(*messy.binary_triple(), f.disc)
+    r, w = reduce_form(g)
+    assert r == f  # the unique reduced representative of the class
+    assert w[0][0] * w[1][1] - w[0][1] * w[1][0] == 1
+    assert form_action(w, messy).binary_triple() == r.triple()

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import quadgenus
 import quadgenus.forms as forms
+import quadgenus.lattice as lattice
+import quadgenus.normforms as normforms
 from quadgenus.arith import Discriminant
 from quadgenus.ideals import compose_via_matrices
 from test_ideals import _rebind
@@ -83,6 +85,17 @@ def test_bool_is_excluded_by_exact_int_checks():
     assert found == ["cli._stringify"]
 
 
+def _imported_names(name, module):
+    """The names src/quadgenus/<name> imports from its sibling module."""
+    tree = ast.parse((SRC / name).read_text(), name)
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+        for alias in node.names
+    }
+
+
 def _calls(name, fn_name):
     """Names called in the top-level function fn_name of src/quadgenus/<name>,
     once per call site."""
@@ -93,6 +106,25 @@ def _calls(name, fn_name):
         for node in ast.walk(fn)
         if isinstance(node, ast.Call)
     ]
+
+
+def _route_calls(monkeypatch, *originals):
+    """Names of the originals called, through any quadgenus binding, while
+    the matrix route composes every ordered pair at d = -23, -76 and -84."""
+    calls = []
+    for original in originals:
+
+        def counted(*args, original=original):
+            calls.append(original.__name__)
+            return original(*args)
+
+        _rebind(monkeypatch, original, counted)
+    for dv in (-23, -76, -84):
+        reduced = forms.enumerate_reduced(Discriminant(dv))
+        for f in reduced:
+            for g in reduced:
+                assert compose_via_matrices(f, g) == forms.compose_crt(f, g)
+    return calls
 
 
 def test_crt_route_makes_no_repair():
@@ -110,28 +142,8 @@ def test_matrix_route_makes_no_repair(monkeypatch):
         "is_concordant",
         "coprime_equivalent",
     }
-    tree = ast.parse((SRC / "ideals.py").read_text(), "ideals.py")
-    borrowed = {
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "forms"
-        for alias in node.names
-    }
-    assert borrowed == {"BinaryForm", "composition_b", "reduce_form"}
-    calls = []
-    for original in (forms.is_concordant, forms.coprime_equivalent):
-
-        def counted(*args, original=original):
-            calls.append(original.__name__)
-            return original(*args)
-
-        _rebind(monkeypatch, original, counted)
-    for dv in (-23, -76, -84):
-        reduced = forms.enumerate_reduced(Discriminant(dv))
-        for f in reduced:
-            for g in reduced:
-                assert compose_via_matrices(f, g) == forms.compose_crt(f, g)
-    assert calls == []
+    assert _imported_names("ideals.py", "forms") == {"BinaryForm", "composition_b", "reduce_form"}
+    assert _route_calls(monkeypatch, forms.is_concordant, forms.coprime_equivalent) == []
 
 
 def test_only_solve_transform_runs_row_operations():
@@ -147,9 +159,13 @@ def test_only_solve_transform_runs_row_operations():
     assert callers == {"lattice.solve_transform"}
 
 
-def test_matrix_route_substitutes_once():
-    # h_alpha @ tau1 is multiplied inline and substituted once, unchecked
+def test_matrix_route_writes_its_substitution_out(monkeypatch):
+    # h_alpha @ tau1 is multiplied inline and substituted into the order's
+    # norm form by the written-out 2x2 formula; the route shares no
+    # substitution code with normforms.form_action, the test oracle
     called = _calls("ideals.py", "compose_via_matrices")
-    assert called.count("_substitute") == 1
-    assert {"h_alpha", "tau_pair"} <= set(called)
-    assert not set(called) & {"mat_mul", "form_action", "check_matrix"}
+    for name in ("h_alpha", "tau_pair", "principal_norm_form"):
+        assert called.count(name) == 1, name
+    assert not set(called) & {"_substitute", "form_action", "mat_mul", "check_matrix"}
+    assert _imported_names("ideals.py", "normforms") == {"principal_norm_form"}
+    assert _route_calls(monkeypatch, normforms.form_action, lattice.check_matrix) == []
