@@ -184,7 +184,8 @@ def _cmd_solve_transform(args, disc):
 
 def _cmd_form_action(args, disc):
     h = _parse_matrix(args.matrix)
-    if len(h) == 2 and (abc := _ints(_FORM_RE, args.form)):
+    # a binary triple and a generator tuple never match each other's shape
+    if abc := _ints(_FORM_RE, args.form):
         f = MultiQuadraticForm.from_binary_triple(*abc, disc)
     else:
         f = norm_form(_parse_tuple(args.form, disc))
@@ -324,10 +325,10 @@ def _run(argv) -> int:
     command = ""
     try:
         args = _parser().parse_args(argv)
+        command = args.command or ""
         fmt = getattr(args, "format", None) or os.environ.get("QG_FORMAT") or "text"
         if fmt not in ("json", "text"):
             raise UsageError(f"QG_FORMAT must be json or text, not {fmt!r}")
-        command = args.command or ""
         if not command:
             raise UsageError("a subcommand is required (try --help)")
         disc = Discriminant(args.d) if "d" in args else None

@@ -28,7 +28,8 @@ __all__ = [
 class BinaryForm(_Value):
     """a*x^2 + b*xy + c*y^2, primitive, a > 0, b^2 - 4ac = d < 0."""
 
-    __slots__ = ("a", "b", "c", "disc")
+    # _ideal: the form's OrderIdeal, written only by ideals.form_to_ideal
+    __slots__ = ("a", "b", "c", "disc", "_ideal")
 
     def __init__(self, a: int, b: int, c: int, disc: Discriminant):
         if type(a) is not int or type(b) is not int or type(c) is not int:
@@ -45,6 +46,7 @@ class BinaryForm(_Value):
         self.b = b
         self.c = c
         self.disc = disc
+        self._ideal = None
 
     def triple(self) -> tuple[int, int, int]:
         return self.a, self.b, self.c

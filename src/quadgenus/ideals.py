@@ -38,7 +38,8 @@ class OrderIdeal(_Value):
     """Standard-basis ideal [a, (-b + sqrt(d))/2] of the order of
     discriminant d."""
 
-    __slots__ = ("a", "b", "disc")
+    # _gens: the generator tuple that gen_tuple builds once and keeps
+    __slots__ = ("a", "b", "disc", "_gens")
 
     def __init__(self, a: int, b: int, disc: Discriminant):
         if type(a) is not int or type(b) is not int:
@@ -53,17 +54,21 @@ class OrderIdeal(_Value):
         self.a = a
         self.b = b
         self.disc = disc
+        self._gens = None
 
     @property
     def c(self) -> int:
         return (self.b * self.b - self.disc.d) // (4 * self.a)
 
     def gen_tuple(self) -> GenTuple:
-        """The linear polynomial a*x1 + ((b - sqrt(d))/2)*x2."""
-        return GenTuple(
-            (QuadInt.from_int(self.a, self.disc), QuadInt(self.b, -1, self.disc)),
-            self.disc,
-        )
+        """The linear polynomial a*x1 + ((b - sqrt(d))/2)*x2, built on first
+        use and kept."""
+        if self._gens is None:
+            self._gens = GenTuple(
+                (QuadInt.from_int(self.a, self.disc), QuadInt(self.b, -1, self.disc)),
+                self.disc,
+            )
+        return self._gens
 
     def conjugate(self) -> OrderIdeal:
         return OrderIdeal(self.a, -self.b, self.disc)
@@ -82,8 +87,11 @@ class OrderIdeal(_Value):
 
 
 def form_to_ideal(f: BinaryForm) -> OrderIdeal:
-    """The form's class as a standard-basis ideal: (a, b, c) -> [a, b]."""
-    return OrderIdeal(f.a, f.b, f.disc)
+    """The form's class as a standard-basis ideal: (a, b, c) -> [a, b],
+    built on first use and kept on the form."""
+    if f._ideal is None:
+        f._ideal = OrderIdeal(f.a, f.b, f.disc)
+    return f._ideal
 
 
 def ideal_to_form(alpha: OrderIdeal) -> BinaryForm:

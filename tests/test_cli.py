@@ -199,6 +199,18 @@ def test_domain_errors_exit_1(capsys):
     assert env["command"] == "form-action"
     assert env["error"] == "form (1,1,7) has discriminant -27, expected -23"
 
+    # a binary triple is read as a form whatever the matrix's size, so a
+    # square matrix of the wrong size is a dimension mismatch, as for a tuple
+    for matrix, form, size in (
+        ("[[1]]", "(2,1,3)", 1),
+        ("[[1,0,0],[0,1,0],[0,0,1]]", "(2,1,3)", 3),
+        ("[[1]]", "(4,0),(1,-1)", 1),
+    ):
+        code, out, err = run_cli(capsys, "form-action", "-d", "-23", matrix, form)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == f"dimension mismatch: {size}x{size} matrix on 2 variables"
+
 
 def test_usage_errors_exit_2(capsys):
     code, out, err = run_cli(capsys, "compose", "-d", "-23", "(2,1,3)")
@@ -280,7 +292,9 @@ def test_env_var_format(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "reduce", "-d", "-4", "(1,-4,5)")
     assert code == 2
     assert out == ""
-    assert json.loads(err)["error"] == "QG_FORMAT must be json or text, not 'xml'"
+    env = json.loads(err)
+    assert env["command"] == "reduce"
+    assert env["error"] == "QG_FORMAT must be json or text, not 'xml'"
 
 
 def test_generator_and_variable_limits(capsys):

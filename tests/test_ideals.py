@@ -11,7 +11,7 @@ import pytest
 import quadgenus.ideals as ideals
 import quadgenus.lattice as lattice
 import quadgenus.normforms as normforms
-from quadgenus.arith import Discriminant, DomainError
+from quadgenus.arith import Discriminant, DomainError, QuadInt
 from quadgenus.forms import (
     BinaryForm,
     compose_crt,
@@ -31,7 +31,7 @@ from quadgenus.ideals import (
     ideal_to_form,
     tau_pair,
 )
-from quadgenus.lattice import apply_transform, hnf_basis, mat_mul, module_mul
+from quadgenus.lattice import GenTuple, apply_transform, hnf_basis, mat_mul, module_mul
 from quadgenus.normforms import form_action, integral_tuple, principal_norm_form
 
 D23 = Discriminant(-23)
@@ -64,6 +64,47 @@ def test_ideal_to_form_examples():
     assert ideal_to_form(OrderIdeal(2, 1, D23)).triple() == (2, 1, 3)
     assert ideal_to_form(OrderIdeal(4, 5, D23)).triple() == (4, 5, 3)
     assert ideal_to_form(OrderIdeal(1, 1, D23)) == principal_form(D23)
+
+
+def _counted_init(monkeypatch, cls):
+    """The argument tuples of every cls.__init__ call from now on."""
+    calls = []
+    original = cls.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return calls
+
+
+def test_form_keeps_its_ideal(monkeypatch):
+    f = BinaryForm(4, 5, 3, D23)
+    calls = _counted_init(monkeypatch, OrderIdeal)
+    ideals_seen = [form_to_ideal(f) for _ in range(3)]
+    assert calls == [(4, 5, D23)]
+    assert ideals_seen[0] is ideals_seen[1] is ideals_seen[2]
+
+
+def test_ideal_keeps_its_generator_tuple(monkeypatch):
+    alpha = OrderIdeal(4, 5, D23)
+    calls = _counted_init(monkeypatch, GenTuple)
+    first = alpha.gen_tuple()
+    assert alpha.gen_tuple() is first
+    assert len(calls) == 1
+    assert first.coeffs == (QuadInt.from_int(4, D23), QuadInt(5, -1, D23))
+
+
+def test_kept_ideal_and_tuple_are_not_part_of_the_value():
+    f, fresh = BinaryForm(4, 5, 3, D23), BinaryForm(4, 5, 3, D23)
+    alpha = form_to_ideal(f)
+    assert form_to_ideal(f) is alpha and alpha.gen_tuple() is alpha.gen_tuple()
+    assert f == fresh and hash(f) == hash(fresh) and len({f, fresh}) == 1
+    assert (str(f), repr(f)) == (str(fresh), repr(fresh))
+    plain = OrderIdeal(4, 5, D23)
+    assert alpha == plain and hash(alpha) == hash(plain)
+    assert (str(alpha), repr(alpha)) == (str(plain), repr(plain))
 
 
 def _random_ideal(rng, maxd=5000):

@@ -1,4 +1,5 @@
-"""Property tests over reduced forms drawn at |d| up to 10^40.
+"""Property tests over reduced forms and generator tuples drawn at |d| up
+to 10^40.
 
 Derandomized with no example database, so every run draws the same
 examples and the suite stays deterministic.
@@ -9,7 +10,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadgenus.arith import Discriminant
+from quadgenus.arith import Discriminant, QuadInt
 from quadgenus.forms import BinaryForm, compose_crt, form_inverse, principal_form, reduce_form
 from quadgenus.ideals import (
     compose_via_matrices,
@@ -19,8 +20,8 @@ from quadgenus.ideals import (
     ideal_to_form,
     tau_pair,
 )
-from quadgenus.lattice import mat_mul
-from quadgenus.normforms import MultiQuadraticForm, form_action, principal_norm_form
+from quadgenus.lattice import GenTuple, apply_transform, mat_mul, solve_transform
+from quadgenus.normforms import MultiQuadraticForm, form_action, norm_form, principal_norm_form
 
 MAX_DIGITS = 40
 
@@ -38,6 +39,20 @@ def reduced_forms(draw):
     g = math.gcd(a, b, c)
     a, b, c = a // g, b // g, c // g
     return reduce_form(BinaryForm(a, b, c, Discriminant(b * b - 4 * a * c)))[0]
+
+
+@st.composite
+def tuples_and_matrices(draw):
+    """A tuple of m = 1..4 order elements at a d of about n digits, for n
+    drawn up to MAX_DIGITS, with an m x m integer matrix."""
+    n = draw(st.integers(1, MAX_DIGITS))
+    k = draw(st.integers(10 ** (n - 1), 10**n))
+    disc = Discriminant(-4 * k - draw(st.sampled_from((0, 3))))
+    m = draw(st.integers(1, 4))
+    coord = st.integers(-(10**20), 10**20)
+    x = GenTuple([QuadInt.from_coords(draw(coord), draw(coord), disc) for _ in range(m)], disc)
+    entry = st.integers(-(10**6), 10**6)
+    return x, tuple(tuple(draw(entry) for _ in range(m)) for _ in range(m))
 
 
 exponents = st.integers(2, 6)
@@ -109,3 +124,26 @@ def test_reduce_witness_carries_the_form_onto_its_reduction(f, steps):
     assert r == f  # the unique reduced representative of the class
     assert w[0][0] * w[1][1] - w[0][1] * w[1][0] == 1
     assert form_action(w, messy).binary_triple() == r.triple()
+
+
+@properties
+@given(reduced_forms())
+def test_form_ideal_dictionary_round_trips(f):
+    f = BinaryForm(*f.triple(), f.disc)  # a fresh form keeps nothing yet
+    a, b, c = f.triple()
+    for _ in range(2):  # first built, then kept: a miss, then a hit
+        alpha = form_to_ideal(f)
+        assert ideal_to_form(alpha) == f
+        assert reduce_form(ideal_to_form(alpha.conjugate()))[0] == form_inverse(f)
+        assert norm_form(alpha.gen_tuple()).binary_triple() == (a * a, a * b, a * c)
+    assert form_to_ideal(f) is alpha
+
+
+@properties
+@given(tuples_and_matrices())
+def test_solve_transform_round_trips(xh):
+    # h's image lies in x's lattice, so solve_transform finds some matrix
+    # (not always h) that moves x onto it
+    x, h = xh
+    y = apply_transform(h, x)
+    assert apply_transform(solve_transform(x, y), x) == y
