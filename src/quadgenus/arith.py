@@ -197,7 +197,9 @@ class Discriminant(_Value):
     the maximal order.
     """
 
-    __slots__ = ("d", "_conductor")
+    # _norm_form: the order's binary norm form, written only by
+    # normforms.principal_norm_form
+    __slots__ = ("d", "_conductor", "_norm_form")
 
     def __init__(self, d: int):
         if type(d) is not int:
@@ -208,6 +210,7 @@ class Discriminant(_Value):
             raise DomainError(f"discriminant must be 0 or 1 mod 4, got {d}")
         self.d = d
         self._conductor = None
+        self._norm_form = None
 
     @property
     def conductor(self) -> int:

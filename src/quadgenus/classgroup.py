@@ -204,17 +204,23 @@ def cl_mod_squares(group: ClassGroup):
     form; the order equals 2**(number of even invariant factors), the
     genus count of genus_count_from_factorization.
     Cosets are keyed by the exponent vector mod 2, reduced against the
-    relation rows mod 2 (echelon form over GF(2) on bitmasks).
+    relation rows mod 2 (echelon form over GF(2) on bitmasks). That
+    reduction is linear, so each generator's unit vector is reduced once
+    and a class's key is the XOR of the images of its odd exponents.
     """
     basis = []  # GF(2) echelon rows, descending, with distinct leading bits
     for row in group.relations:
         v = _mod2(row, basis)
         if v:
             basis = sorted(basis + [v], reverse=True)
+    images = [_mod2((0,) * t + (1,), basis) for t in range(len(group.relations))]
     sizes = {}
     reps = []
     for f, c in zip(group.elements, group.coords):  # (a, b)-sorted
-        v = _mod2(c, basis)
+        v = 0
+        for e, image in zip(c, images):
+            if e % 2:
+                v ^= image
         if v not in sizes:
             sizes[v] = 0
             reps.append(f)

@@ -195,6 +195,8 @@ def _cmd_form_action(args, disc):
 
 def _parse_range(text: str) -> tuple[int, int]:
     a, b = _ints(_RANGE_RE, text, 'range {!r}, expected "-lo..-hi"')
+    if max(a, b) >= 0:
+        raise UsageError(f"range {text!r} must have negative endpoints")
     return max(a, b), min(a, b)
 
 

@@ -107,15 +107,20 @@ def enumerate_reduced(disc: Discriminant) -> list[BinaryForm]:
     """All reduced primitive forms of the discriminant, sorted by (a, b).
 
     The list length is the class number h(d). Walks b = d (mod 2) with
-    0 <= b <= sqrt(|d|/3) and, for each, the divisors a of (b^2 - d)/4 in
-    [b, sqrt((b^2 - d)/4)] (Cohen Alg. 5.3.5); (a, b, c) and (a, -b, c)
-    are both reduced unless b = 0, b = a or a = c.
+    0 <= b <= sqrt(|d|/3) and, for each, the divisors a of q = (b^2 - d)/4
+    in [b, sqrt(q)] (Cohen Alg. 5.3.5); (a, b, c) and (a, -b, c) are both
+    reduced unless b = 0, b = a or a = c. An odd q has no even divisor, so
+    then only odd a are tried. Every q is odd when d = 5 (mod 8) and every
+    q is even when d = 1 (mod 8), which keeps the full scan; for 4 | d it
+    depends on b.
     """
     d = disc.d
     out = []
     for b in range(d % 2, math.isqrt(-d // 3) + 1, 2):
         q = (b * b - d) // 4
-        for a in range(max(b, 1), math.isqrt(q) + 1):
+        odd = q % 2
+        # for odd q: the first odd a >= max(b, 1), then steps of 2
+        for a in range(max(b, 1) | odd, math.isqrt(q) + 1, 1 + odd):
             if q % a:
                 continue
             c = q // a

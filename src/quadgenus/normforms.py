@@ -147,11 +147,18 @@ def integral_tuple(disc: Discriminant, m: int = 2) -> GenTuple:
 def principal_norm_form(disc: Discriminant, m: int = 2) -> MultiQuadraticForm:
     """Norm form of the order: x^2 + d*xy + ((d^2-d)/4)*y^2, zero-padded.
 
-    Written down from d: the matrix route expands no norm form."""
+    Written down from d: the matrix route expands no norm form. The binary
+    one (m = 2) is built once and kept on the Discriminant."""
     if m < 2:
         raise DomainError("the order needs at least two generators")
+    binary = type(m) is int and m == 2  # any other m goes to the validating constructor
+    if binary and disc._norm_form is not None:
+        return disc._norm_form
     d = disc.d
-    return MultiQuadraticForm(m, {(0, 0): 1, (0, 1): d, (1, 1): (d * d - d) // 4}, disc)
+    f = MultiQuadraticForm(m, {(0, 0): 1, (0, 1): d, (1, 1): (d * d - d) // 4}, disc)
+    if binary:
+        disc._norm_form = f
+    return f
 
 
 def represent_from_fo(f_source: GenTuple):

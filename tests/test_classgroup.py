@@ -279,13 +279,30 @@ def _table_cl_mod_squares(g):
 
 
 def test_generator_extension_matches_cayley_table():
-    for dv in range(-3, -2001, -1):
-        if dv % 4 not in (0, 1):
-            continue
+    # -4980 is the first d with five generators, -5460 has Cl = (Z/2)^4
+    for dv in [dv for dv in range(-3, -2001, -1) if dv % 4 in (0, 1)] + [-4980, -5460]:
         g = class_group(Discriminant(dv))
         assert g.structure == _invariant_factors(g.table, 0), dv
         assert two_torsion(g) == _table_two_torsion(g), dv
         assert cl_mod_squares(g) == _table_cl_mod_squares(g), dv
+
+
+def test_squares_quotient_reduces_each_generator_once(monkeypatch):
+    # reduction mod the GF(2) basis is linear: one call per relation row and
+    # one per generator's unit vector, however many classes there are
+    calls = []
+    mod2 = classgroup._mod2
+
+    def counted(vector, basis):
+        calls.append(1)
+        return mod2(vector, basis)
+
+    monkeypatch.setattr(classgroup, "_mod2", counted)
+    for dv in (-5460, -4000003):
+        g = class_group(Discriminant(dv))
+        calls.clear()
+        cl_mod_squares(g)
+        assert len(calls) <= 2 * len(g.relations), dv
 
 
 def test_exponent_vectors_compose_like_the_table():

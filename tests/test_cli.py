@@ -238,6 +238,13 @@ def test_usage_errors_exit_2(capsys):
     assert out == ""
     assert "--samples" in json.loads(err)["error"]
 
+    # -0 parses as a range endpoint but is no discriminant
+    for text in ("-0..-8", "-8..-0", "-00..-0"):
+        code, out, err = run_cli(capsys, "verify", "--range", text)
+        assert code == 2
+        assert out == ""
+        assert text in json.loads(err)["error"]
+
     code, out, err = run_cli(capsys, "verify", "--range", "-4..-20", "--samples", "0")
     assert code == 0
     assert out == "checked 9 discriminants, 0 pairs, 0 mismatches\n"

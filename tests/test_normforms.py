@@ -51,6 +51,19 @@ def test_principal_norm_form():
     assert principal_norm_form(Discriminant(-4)).binary_triple() == (1, -4, 5)
 
 
+def test_discriminant_keeps_its_binary_norm_form():
+    d, fresh = Discriminant(-84), Discriminant(-84)
+    f = principal_norm_form(d)
+    assert principal_norm_form(d) is f
+    assert f == MultiQuadraticForm(2, {(0, 0): 1, (0, 1): -84, (1, 1): 1785}, fresh)
+    # the kept form is no part of the value, and wider forms are built anew
+    assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+    with pytest.raises(DomainError):
+        principal_norm_form(d, 2.0)
+    wide = principal_norm_form(d, 3)
+    assert principal_norm_form(d, 3) is not wide and wide.coeff(1, 1) == 1785
+
+
 def test_norm_form_of_ideal_tuple():
     # (2, (1 - sqrt(-23))/2) -> 4x^2 + 2xy + 6y^2 = (a^2, ab, ac) at (2,1,3)
     x = GenTuple([QuadInt.from_int(2, D23), QuadInt(1, -1, D23)], D23)

@@ -1,5 +1,5 @@
 """Property tests over reduced forms and generator tuples drawn at |d| up
-to 10^40.
+to 10^40, and over class groups drawn at |d| up to 2*10^6.
 
 Derandomized with no example database, so every run draws the same
 examples and the suite stays deterministic.
@@ -11,7 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadgenus.arith import Discriminant, QuadInt
-from quadgenus.forms import BinaryForm, compose_crt, form_inverse, principal_form, reduce_form
+from quadgenus.classgroup import (
+    cl_mod_squares,
+    class_group,
+    genus_count_from_factorization,
+    two_torsion,
+)
+from quadgenus.forms import (
+    BinaryForm,
+    compose_crt,
+    enumerate_reduced,
+    form_inverse,
+    principal_form,
+    reduce_form,
+)
 from quadgenus.ideals import (
     compose_via_matrices,
     form_to_ideal,
@@ -56,6 +69,12 @@ def tuples_and_matrices(draw):
 
 
 exponents = st.integers(2, 6)
+
+# d = -4k or -4k - 3 with |d| < 2*10^6: d = 0, 4 (mod 8) by the parity of k
+# in the first case and d = 5, 1 (mod 8) in the second
+class_group_discriminants = st.builds(
+    lambda k, r: Discriminant(-4 * k - r), st.integers(1, 499_999), st.sampled_from((0, 3))
+)
 
 
 def _power(f, k):
@@ -147,3 +166,12 @@ def test_solve_transform_round_trips(xh):
     x, h = xh
     y = apply_transform(h, x)
     assert apply_transform(solve_transform(x, y), x) == y
+
+
+@properties
+@given(class_group_discriminants)
+def test_genus_count_three_ways(disc):
+    # the squares quotient, the ambiguous classes and Gauss's 2**(mu-1)
+    g = class_group(disc)
+    assert cl_mod_squares(g)[0] == len(two_torsion(g)) == genus_count_from_factorization(disc)
+    assert g.h == len(enumerate_reduced(disc))
