@@ -65,10 +65,12 @@ class ClassGroup:
                 for j in range(i, h):
                     p = compose_crt(elements[i], elements[j])
                     table[i][j] = table[j][i] = self.index[(p.a, p.b)]
-            if table[0] != list(range(h)):
+            ids = list(range(h))
+            if table[0] != ids:
                 raise AssertionError("principal class must act as identity")
-            if any(sorted(row) != list(range(h)) for row in table):
-                raise AssertionError("composition row is not a permutation")
+            for row in table:
+                if sorted(row) != ids:
+                    raise AssertionError("composition row is not a permutation")
             self._table = table
         return self._table
 
@@ -90,7 +92,12 @@ def _smith_invariants(rows) -> list[int]:
     m = [list(r) for r in rows]
     k = len(m)
     for t in range(k):
-        while any(m[i][t] or m[t][i] for i in range(t + 1, k)):
+        while True:
+            for i in range(t + 1, k):
+                if m[i][t] or m[t][i]:
+                    break
+            else:
+                break  # row and column t are zero off the diagonal
             for i in range(t + 1, k):
                 p, c = m[t][t], m[i][t]
                 if p and c % p == 0:
@@ -226,16 +233,20 @@ def cl_mod_squares(group: ClassGroup):
             reps.append(f)
         sizes[v] += 1
     order = len(reps)
-    if any(s * order != group.h for s in sizes.values()):
-        raise AssertionError("cosets of the squares differ in size")
-    if order != 2 ** sum(1 for n in group.structure if n % 2 == 0):
+    for s in sizes.values():
+        if s * order != group.h:
+            raise AssertionError("cosets of the squares differ in size")
+    if order != 2 ** len([n for n in group.structure if n % 2 == 0]):
         raise AssertionError("squares quotient disagrees with the invariant factors")
     return order, reps
 
 
 def _mod2(vector, basis) -> int:
     """The vector mod 2 as a bitmask, reduced against an echelon basis."""
-    v = sum(1 << t for t, e in enumerate(vector) if e % 2)
+    v = 0
+    for t, e in enumerate(vector):
+        if e % 2:
+            v |= 1 << t
     for b in basis:
         v = min(v, v ^ b)
     return v
@@ -245,7 +256,8 @@ def genus_count_from_factorization(disc: Discriminant) -> int:
     """2**(mu-1) genera (Cox, Prop. 3.11, Thm. 3.15): mu counts the odd
     primes dividing d, plus 0, 1 or 2 from n = -d/4 mod 8 when 4 | d."""
     d = disc.d
-    mu = sum(1 for p in factorize(d) if p > 2)
+    primes = factorize(d)
+    mu = len(primes) - (2 in primes)
     if d % 4 == 0:
         mu += (2, 1, 1, 0, 1, 1, 1, 0)[-d // 4 % 8]
     return 2 ** (mu - 1)

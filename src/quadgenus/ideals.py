@@ -164,11 +164,10 @@ def compose_via_matrices(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     p, q = hp * tp + hq * tr, hp * tq + hq * ts
     r, s = hr * tp + hs * tr, hr * tq + hs * ts
     A, B, C = principal_norm_form(disc).binary_triple()
-    triple = (A * p * p + B * p * r + C * r * r,
-              2 * A * p * q + B * (p * s + q * r) + 2 * C * r * s,
-              A * q * q + B * q * s + C * s * s)
+    x0 = A * p * p + B * p * r + C * r * r
+    x1 = 2 * A * p * q + B * (p * s + q * r) + 2 * C * r * s
+    x2 = A * q * q + B * q * s + C * s * s
     aa = f.a * g.a
-    if any(x % aa for x in triple):
+    if x0 % aa or x1 % aa or x2 % aa:
         raise AssertionError("matrix composition not divisible by aa'")
-    raw = BinaryForm(*(x // aa for x in triple), disc)
-    return reduce_form(raw)[0]
+    return reduce_form(BinaryForm(x0 // aa, x1 // aa, x2 // aa, disc))[0]

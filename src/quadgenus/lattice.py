@@ -63,10 +63,12 @@ class GenTuple(_Value):
         return len(self.coeffs)
 
     def coords(self) -> tuple[tuple[int, int], ...]:
-        return tuple(c.coords() for c in self.coeffs)
+        return tuple([c.coords() for c in self.coeffs])
 
     def padded(self, m: int) -> GenTuple:
         """Extend with zero coefficients up to m variables."""
+        if type(m) is not int:
+            raise DomainError(f"variable count must be an integer >= 1, got {m!r}")
         if m < self.m:
             raise DomainError(f"cannot pad {self.m} generators down to {m}")
         if m == self.m:
@@ -170,8 +172,10 @@ def _basis_rows(coords):
             g, x, y = _xgcd(g, vi)
             u = x * u + y * ui
     if not g:
-        return (math.gcd(*(ui for ui, _ in coords)), 0), (0, 0)
-    n = math.gcd(*(ui - vi // g * u for ui, vi in coords))
+        return (math.gcd(*[ui for ui, _ in coords]), 0), (0, 0)
+    n = 0
+    for ui, vi in coords:
+        n = math.gcd(n, ui - vi // g * u)
     return (n, 0), (u % n if n else u, g)
 
 

@@ -137,6 +137,8 @@ def factor_witness(x: GenTuple, y: GenTuple):
 
 def integral_tuple(disc: Discriminant, m: int = 2) -> GenTuple:
     """(1, omega, 0, ..., 0): the order itself as an m-variable tuple."""
+    if type(m) is not int:
+        raise DomainError(f"variable count must be an integer >= 1, got {m!r}")
     if m < 2:
         raise DomainError("the order needs at least two generators")
     one = QuadInt.from_int(1, disc)

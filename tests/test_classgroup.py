@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -470,3 +474,76 @@ def test_large_class_group_within_time_bound():
     assert g.structure == [2, 124]
     assert order == len(two_torsion(g)) == 4
     assert elapsed < 5.0, f"class_group(-4000003) took {elapsed:.1f}s"
+
+
+# --- the invariant checks on a tampered group ---------------------------------
+# Cl(-84) = (Z/2)^2: elements (1,0,21), (2,2,11), (3,0,7), (5,4,5) with
+# exponent vectors (0,0), (1,0), (0,1), (1,1). Each case spoils one field of
+# a correct group and names the check that must catch it.
+
+
+def _give_two_classes_one_vector(g):
+    g.coords = g.coords[:3] + [g.coords[2]]  # cosets of sizes 1, 1 and 2
+
+
+def _claim_a_cyclic_structure(g):
+    g.structure = [4]  # one even invariant factor: 2 cosets, not 4
+
+
+def _put_a_class_before_the_principal_one(g):
+    g.elements = [g.elements[1], g.elements[0]] + g.elements[2:]
+
+
+def _drop_the_last_class(g):
+    g.elements = g.elements[:-1]  # (2,2,11) * (3,0,7) = (5,4,5) is missing
+
+
+_TAMPERED = [
+    (_give_two_classes_one_vector, cl_mod_squares, "cosets of the squares differ in size"),
+    (
+        _claim_a_cyclic_structure,
+        cl_mod_squares,
+        "squares quotient disagrees with the invariant factors",
+    ),
+    (
+        _put_a_class_before_the_principal_one,
+        lambda g: g.table,
+        "principal class must act as identity",
+    ),
+    (_drop_the_last_class, lambda g: g.table, "composition row is not a permutation"),
+]
+
+
+@pytest.mark.parametrize(
+    "tamper,run,message",
+    _TAMPERED,
+    ids=["coords", "structure", "elements-order", "elements-missing"],
+)
+def test_tampered_group_fails_its_invariant_check(tamper, run, message):
+    g = class_group(Discriminant(-84))
+    run(g)  # the untouched group passes
+    g._table = None
+    tamper(g)
+    with pytest.raises(AssertionError) as info:
+        run(g)
+    assert str(info.value) == message
+
+
+def test_tampered_group_fails_its_invariant_check_under_O():
+    # the squares check in a child run with assert statements compiled out
+    code = "\n".join([
+        "from quadgenus.arith import Discriminant",
+        "from quadgenus.classgroup import class_group, cl_mod_squares",
+        "g = class_group(Discriminant(-84))",
+        "g.structure = [4]",
+        "try:",
+        "    cl_mod_squares(g)",
+        "except AssertionError as exc:",
+        "    print(exc)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "squares quotient disagrees with the invariant factors\n"

@@ -169,3 +169,39 @@ def test_matrix_route_writes_its_substitution_out(monkeypatch):
     assert not set(called) & {"_substitute", "form_action", "mat_mul", "check_matrix"}
     assert _imported_names("ideals.py", "normforms") == {"principal_norm_form"}
     assert _route_calls(monkeypatch, normforms.form_action, lattice.check_matrix) == []
+
+
+def _generator_sites(name, functions=None):
+    """file:line of each generator expression in src/quadgenus/<name>, only
+    inside the named functions (Class.method for a method) when given."""
+    tree = ast.parse((SRC / name).read_text(), name)
+    scopes = [tree]
+    if functions is not None:
+        scopes = []
+        for node in tree.body:
+            is_class = isinstance(node, ast.ClassDef)
+            prefix = f"{node.name}." if is_class else ""
+            for fn in node.body if is_class else [node]:
+                if isinstance(fn, ast.FunctionDef) and prefix + fn.name in functions:
+                    scopes.append(fn)
+        assert len(scopes) == len(functions), name
+    return [
+        f"{name}:{node.lineno}"
+        for scope in scopes
+        for node in ast.walk(scope)
+        if isinstance(node, ast.GeneratorExp)
+    ]
+
+
+def test_per_op_code_builds_no_generators():
+    # each run of a generator expression builds a generator object and a
+    # frame; in the matrix route two of them cost about 1.2 of 5.4 us a
+    # pair on CPython 3.11, and the class-group layer paid the same way.
+    # List comprehensions may stay: 3.12+ inlines them (PEP 709).
+    found = []
+    for name in ("arith.py", "forms.py", "ideals.py", "classgroup.py"):
+        found += _generator_sites(name)
+    found += _generator_sites(
+        "lattice.py", {"GenTuple.__init__", "GenTuple.coords", "_basis_rows", "module_mul"}
+    )
+    assert found == []

@@ -155,10 +155,26 @@ def test_unequal_values(x, y):
         (lambda: GenTuple([]), DomainError("generator tuple needs at least one coefficient")),
         (lambda: _tuple().padded(1), DomainError("cannot pad 2 generators down to 1")),
         (
+            lambda: GenTuple([QuadInt(1, 1, D23)]).padded(2.0),
+            DomainError("variable count must be an integer >= 1, got 2.0"),
+        ),
+        (
+            lambda: GenTuple([QuadInt(1, 1, D23)]).padded(1.0),
+            DomainError("variable count must be an integer >= 1, got 1.0"),
+        ),
+        (
+            lambda: GenTuple([QuadInt(1, 1, D23)]).padded(True),
+            DomainError("variable count must be an integer >= 1, got True"),
+        ),
+        (
             lambda: MultiQuadraticForm(3, {}, D23).binary_triple(),
             DomainError("need a binary form, this one has 3 variables"),
         ),
         (lambda: integral_tuple(D23, 1), DomainError("the order needs at least two generators")),
+        (
+            lambda: integral_tuple(D23, 2.0),
+            DomainError("variable count must be an integer >= 1, got 2.0"),
+        ),
         (
             lambda: principal_norm_form(D23, 1),
             DomainError("the order needs at least two generators"),
@@ -175,8 +191,12 @@ def test_unequal_values(x, y):
     ids=[
         "gentuple-empty",
         "gentuple-pad-down",
+        "gentuple-pad-float",
+        "gentuple-pad-float-same",
+        "gentuple-pad-bool",
         "binary-triple-of-ternary",
         "integral-tuple-one-variable",
+        "integral-tuple-float",
         "principal-norm-form-one-variable",
         "ideal-norm",
         "gentuple-iter",
