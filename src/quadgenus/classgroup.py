@@ -8,10 +8,13 @@ comes from growing a subgroup one generator at a time (Buchmann-Schmidt,
 half of its cosets cost one CRT composition an element and the rest are
 their inverses, so about h/2 compositions give every class an exponent
 vector over the generators, and the Smith normal form of the small
-relation matrix gives the invariant factors. Two-torsion is read off the
-ambiguous reduced forms and the quotient by squares off the exponent
-vectors mod 2, so neither composes. The Cayley table is built on demand
-only, by full pairwise composition.
+relation matrix gives the invariant factors. The generator loop composes
+(a, b) pairs with its own integer kernel, _compose_ab, and builds no
+form. Two-torsion is read off the ambiguous reduced forms and the
+quotient by squares off the exponent vectors mod 2, so neither composes.
+The Cayley table is built on demand only, by full pairwise composition
+with compose_crt, which the tests use too, so the kernel and compose_crt
+check each other.
 """
 
 from __future__ import annotations
@@ -19,7 +22,14 @@ from __future__ import annotations
 import math
 
 from .arith import Discriminant, _xgcd, factorize
-from .forms import BinaryForm, compose_crt, enumerate_reduced, principal_form, reduce_form
+from .forms import (
+    BinaryForm,
+    compose_crt,
+    composition_b,
+    enumerate_reduced,
+    principal_form,
+    reduce_form,
+)
 
 __all__ = [
     "ClassGroup",
@@ -120,6 +130,31 @@ def _inverse(index, f, x):
     return index.get((f.a, -f.b), x)
 
 
+def _compose_ab(a1, b1, a2, b2, d):
+    """The reduced (a, b, c) in the class of (a1, b1) times (a2, b2) at
+    discriminant d: compose_crt on integers, with no form or witness built.
+
+    B comes from composition_b and a3 = a1*a2/e^2; the composite's c is
+    (B^2 - d)/(4*a3), checked exact. The loop is reduce_form's without the
+    witness.
+    """
+    b = composition_b(a1, b1, a2, b2, d)
+    e = math.gcd(a1, a2, (b1 + b2) // 2)
+    a = (a1 // e) * (a2 // e)
+    c, r = divmod(b * b - d, 4 * a)
+    if r:
+        raise AssertionError(
+            f"composite of ({a1},{b1}) and ({a2},{b2}) has no integral c at d = {d}"
+        )
+    while True:
+        k = (a - b) // (2 * a)
+        if k:
+            b, c = b + 2 * k * a, a * k * k + b * k + c
+        if not (a > c or (a == c and b < 0)):
+            return a, b, c
+        a, b, c = c, -b, a
+
+
 def _carry(v, found):
     """An exponent vector brought into 0 <= e_u < m_u by the relations
     g_u**m_u = prod g_w**img_u[w], from the last generator down."""
@@ -134,7 +169,13 @@ def _carry(v, found):
 
 def class_group(disc: Discriminant) -> ClassGroup:
     """Elements, exponent vectors over generators, and invariant factors
-    for one discriminant, in about h/2 compositions."""
+    for one discriminant, in about h/2 compositions.
+
+    Coset j of the subgroup lists g**j * sub[i] at position i, so the
+    class there has the vector of sub[i] with j appended; a class read off
+    by inversion has one carried vector per position, whatever j is.
+    """
+    d = disc.d
     elements = enumerate_reduced(disc)
     h = len(elements)
     index = {(f.a, f.b): i for i, f in enumerate(elements)}
@@ -149,21 +190,24 @@ def class_group(disc: Discriminant) -> ClassGroup:
         while coords[nxt] is not None:
             nxt += 1
         gen = elements[nxt]
+        ga, gb = gen.a, gen.b
 
         def times_gen(x):
-            p = compose_crt(elements[x], gen)
-            return index[(p.a, p.b)]
+            f = elements[x]
+            a, b, _ = _compose_ab(f.a, f.b, ga, gb, d)
+            return index[(a, b)]
 
         t = len(found)
+        # base[i]: the vector of sub[i] over the t earlier generators
+        base = [coords[x] + (0,) * (t - len(coords[x])) for x in sub]
         cosets = [sub]  # g**j times the subgroup; composed ones led by g**j
         j, lead = 1, nxt
         while coords[inv := _inverse(index, elements[lead], lead)] is None:
             new = [lead] + [times_gen(x) for x in cosets[-1][1:]]
-            for x, y in zip(cosets[-1], new):
+            for y, v in zip(new, base):
                 if coords[y] is not None:
                     raise AssertionError("coset of the subgroup meets the subgroup")
-                c = coords[x][:t]
-                coords[y] = c + (0,) * (t - len(c)) + (j,)
+                coords[y] = v + (j,)
             cosets.append(new)
             if coords[inv] is not None:  # g**-j is in coset j itself
                 break
@@ -173,13 +217,17 @@ def class_group(disc: Discriminant) -> ClassGroup:
             raise AssertionError("inverse of a generator power lies in the old subgroup")
         m = coords[inv][t] + j
         s = coords[inv][:t]
-        for j in range(len(cosets), m):  # coset j inverts coset m - j
-            new = [_inverse(index, elements[x], x) for x in cosets[m - j]]
-            for x, y in zip(cosets[m - j], new):
-                if coords[y] is not None:
-                    raise AssertionError("inverted class already has an exponent vector")
-                coords[y] = _carry([a - b for a, b in zip(s, coords[x])], found) + (j,)
-            cosets.append(new)
+        if len(cosets) < m:
+            # position i of coset j inverts position i of coset m - j, so
+            # its vector is carry(s - base[i]) with j appended
+            rest = [_carry([a - b for a, b in zip(s, v)], found) for v in base]
+            for j in range(len(cosets), m):
+                new = [_inverse(index, elements[x], x) for x in cosets[m - j]]
+                for y, v in zip(new, rest):
+                    if coords[y] is not None:
+                        raise AssertionError("inverted class already has an exponent vector")
+                    coords[y] = v + (j,)
+                cosets.append(new)
         sub = [x for c in cosets for x in c]
         found.append((m, _carry([-a for a in s], found)))
     n = len(found)

@@ -12,6 +12,7 @@ import pytest
 import quadgenus.classgroup as classgroup
 from quadgenus.arith import Discriminant
 from quadgenus.classgroup import (
+    _compose_ab,
     _smith_invariants,
     cl_mod_squares,
     class_group,
@@ -19,6 +20,7 @@ from quadgenus.classgroup import (
     two_torsion,
 )
 from quadgenus.forms import BinaryForm, compose_crt, enumerate_reduced, form_inverse
+from test_ideals import _big_pairs
 
 
 def test_trivial_group():
@@ -365,14 +367,22 @@ def test_smith_invariants():
 
 
 def test_class_group_composes_about_h_times(monkeypatch):
+    # the generator loop composes with its integer kernel, the table with
+    # compose_crt; each is counted through its classgroup binding
     calls = []
-    crt = classgroup.compose_crt
+    table_calls = []
+    kernel, crt = classgroup._compose_ab, classgroup.compose_crt
 
-    def counted(f, g):
+    def counted(a1, b1, a2, b2, d):
         calls.append(1)
+        return kernel(a1, b1, a2, b2, d)
+
+    def counted_crt(f, g):
+        table_calls.append(1)
         return crt(f, g)
 
-    monkeypatch.setattr(classgroup, "compose_crt", counted)
+    monkeypatch.setattr(classgroup, "_compose_ab", counted)
+    monkeypatch.setattr(classgroup, "compose_crt", counted_crt)
     for dv in (-4000003, -4, -23, -84, -455, -30011, -5460):
         calls.clear()
         g = class_group(Discriminant(dv))
@@ -380,15 +390,86 @@ def test_class_group_composes_about_h_times(monkeypatch):
         cl_mod_squares(g)
         assert len(calls) <= g.h, dv
         assert g._table is None
+    assert calls and not table_calls
     calls.clear()
-    assert len(g.table) == g.h and len(calls) == g.h * (g.h + 1) // 2
+    assert len(g.table) == g.h and len(table_calls) == g.h * (g.h + 1) // 2
+    assert not calls
     # about half the classes are composed, the rest are inverses
-    calls.clear()
     total_h = 0
     for dv in range(-3, -6001, -1):
         if dv % 4 in (0, 1):
             total_h += class_group(Discriminant(dv)).h
-    assert len(calls) <= 0.55 * total_h
+    assert 0 < len(calls) <= 0.55 * total_h
+
+
+def test_kernel_matches_compose_crt_on_every_pair():
+    pairs = 0
+    for dv in range(-3, -2001, -1):
+        if dv % 4 not in (0, 1):
+            continue
+        forms = enumerate_reduced(Discriminant(dv))
+        for f in forms:
+            for g in forms:
+                assert _compose_ab(f.a, f.b, g.a, g.b, dv) == compose_crt(f, g).triple(), (f, g)
+                pairs += 1
+    assert pairs == 240907
+
+
+def test_kernel_matches_compose_crt_at_large_discriminants():
+    # squares, cubes and inverse pairs at 20, 50 and 200 digits
+    wide = 0
+    for f, g in _big_pairs():
+        assert _compose_ab(f.a, f.b, g.a, g.b, f.disc.d) == compose_crt(f, g).triple(), (f, g)
+        wide += math.gcd(f.a, g.a, (f.b + g.b) // 2) > 1
+    assert wide > 0
+
+
+# d = -84: the first composition of the generator loop is (2,2,11)*(3,0,7);
+# with B off by 2, (B^2 - d)/(4*a3) is no integer there
+_INEXACT = "composite of (2,2) and (3,0) has no integral c at d = -84"
+
+
+def test_kernel_checks_that_the_composite_is_exact(monkeypatch):
+    real = classgroup.composition_b
+    monkeypatch.setattr(classgroup, "composition_b", lambda *args: real(*args) + 2)
+    with pytest.raises(AssertionError) as info:
+        class_group(Discriminant(-84))
+    assert str(info.value) == _INEXACT
+
+
+def test_kernel_checks_that_the_composite_is_exact_under_O():
+    code = "\n".join([
+        "import quadgenus.classgroup as classgroup",
+        "from quadgenus.arith import Discriminant",
+        "real = classgroup.composition_b",
+        "classgroup.composition_b = lambda *args: real(*args) + 2",
+        "try:",
+        "    classgroup.class_group(Discriminant(-84))",
+        "except AssertionError as exc:",
+        "    print(exc)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == _INEXACT + "\n"
+
+
+@pytest.mark.parametrize("dv", [-84, -5460, -30011])
+def test_generator_loop_builds_no_forms(monkeypatch, dv):
+    # the enumeration builds h forms and the principal-form check one more
+    built = []
+    init = BinaryForm.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    disc = Discriminant(dv)
+    monkeypatch.setattr(BinaryForm, "__init__", counted)
+    g = class_group(disc)
+    assert g.h > 1 and len(built) == g.h + 1
 
 
 # --- the coset-by-composition loop --------------------------------------------
