@@ -49,4 +49,4 @@ f3 = norm_form(three)
 print(f"\na three-variable norm form: {f3}")
 w3 = represent_from_fo(three)
 print(f"its witness from the padded base form is {len(w3)}x{len(w3)}: {w3}")
-print(f"check: {form_action(w3, principal_norm_form(D, 3)) == f3}")
+print(f"check: {form_action(w3, norm_form(integral_tuple(D, 3))) == f3}")

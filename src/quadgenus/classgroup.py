@@ -8,13 +8,12 @@ comes from growing a subgroup one generator at a time (Buchmann-Schmidt,
 half of its cosets cost one CRT composition an element and the rest are
 their inverses, so about h/2 compositions give every class an exponent
 vector over the generators, and the Smith normal form of the small
-relation matrix gives the invariant factors. The generator loop composes
-(a, b) pairs with its own integer kernel, _compose_ab, and builds no
-form. Two-torsion is read off the ambiguous reduced forms and the
-quotient by squares off the exponent vectors mod 2, so neither composes.
-The Cayley table is built on demand only, by full pairwise composition
-with compose_crt, which the tests use too, so the kernel and compose_crt
-check each other.
+relation matrix gives the invariant factors. The generator loop and the
+Cayley table compose (a, b) pairs with forms._compose_ab, which builds no
+form; the tests check it against compose_crt on every pair. Two-torsion
+is read off the ambiguous reduced forms and the quotient by squares off
+the exponent vectors mod 2, so neither composes. The Cayley table is
+built on demand only, by full pairwise composition.
 """
 
 from __future__ import annotations
@@ -22,14 +21,7 @@ from __future__ import annotations
 import math
 
 from .arith import Discriminant, _xgcd, factorize
-from .forms import (
-    BinaryForm,
-    compose_crt,
-    composition_b,
-    enumerate_reduced,
-    principal_form,
-    reduce_form,
-)
+from .forms import BinaryForm, _compose_ab, enumerate_reduced, principal_form, reduce_form
 
 __all__ = [
     "ClassGroup",
@@ -66,15 +58,17 @@ class ClassGroup:
 
     @property
     def table(self) -> list[list[int]]:
-        """Built on first use from h(h+1)/2 CRT compositions and checked:
-        the principal row is the identity, every row a permutation."""
+        """Built on first use from h(h+1)/2 compositions and checked: the
+        principal row is the identity, every row a permutation."""
         if self._table is None:
-            h, elements = self.h, self.elements
+            h, elements, index, d = self.h, self.elements, self.index, self.disc.d
             table = [[0] * h for _ in range(h)]
             for i in range(h):
+                f = elements[i]
                 for j in range(i, h):
-                    p = compose_crt(elements[i], elements[j])
-                    table[i][j] = table[j][i] = self.index[(p.a, p.b)]
+                    g = elements[j]
+                    a, b, _ = _compose_ab(f.a, f.b, g.a, g.b, d)
+                    table[i][j] = table[j][i] = index[(a, b)]
             ids = list(range(h))
             if table[0] != ids:
                 raise AssertionError("principal class must act as identity")
@@ -128,31 +122,6 @@ def _smith_invariants(rows) -> list[int]:
 def _inverse(index, f, x):
     """Index of 1/f for f = elements[x]: (a, -b, c), or f if ambiguous."""
     return index.get((f.a, -f.b), x)
-
-
-def _compose_ab(a1, b1, a2, b2, d):
-    """The reduced (a, b, c) in the class of (a1, b1) times (a2, b2) at
-    discriminant d: compose_crt on integers, with no form or witness built.
-
-    B comes from composition_b and a3 = a1*a2/e^2; the composite's c is
-    (B^2 - d)/(4*a3), checked exact. The loop is reduce_form's without the
-    witness.
-    """
-    b = composition_b(a1, b1, a2, b2, d)
-    e = math.gcd(a1, a2, (b1 + b2) // 2)
-    a = (a1 // e) * (a2 // e)
-    c, r = divmod(b * b - d, 4 * a)
-    if r:
-        raise AssertionError(
-            f"composite of ({a1},{b1}) and ({a2},{b2}) has no integral c at d = {d}"
-        )
-    while True:
-        k = (a - b) // (2 * a)
-        if k:
-            b, c = b + 2 * k * a, a * k * k + b * k + c
-        if not (a > c or (a == c and b < 0)):
-            return a, b, c
-        a, b, c = c, -b, a
 
 
 def _carry(v, found):

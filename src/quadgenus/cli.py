@@ -342,11 +342,19 @@ def _run(argv) -> int:
             code, error = 3, f"internal error in {_raising_module(exc)}: {exc}"
         print(_json({"status": "error", "command": command, "error": error}), file=sys.stderr)
         return code
-    if fmt == "json":
-        print(_json({"status": "ok", "command": command, "result": result}))
-    else:
-        for line in lines:
-            print(line)
+    # a reader that closes stdout early (`| head -1`) ends the run quietly,
+    # with fd 1 on devnull so that the flush at interpreter exit cannot raise
+    try:
+        if fmt == "json":
+            print(_json({"status": "ok", "command": command, "result": result}))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

@@ -3,7 +3,9 @@
 Reduction (with a determinant-1 change-of-variables witness), enumeration
 of the reduced representatives, and Dirichlet/CRT composition: every pair,
 concordant or not, composes in one closed form (Cohen Alg. 5.4.7), with no
-repair step. Reduction and composition take O(log|d|) steps.
+repair step. _compose_ab is that composition on (a, b) integers, shared by
+the class-group loop and Cayley table and tested against compose_crt on
+every pair. Reduction and composition take O(log|d|) steps.
 """
 
 from __future__ import annotations
@@ -201,3 +203,28 @@ def compose_crt(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     aa = (f.a // e) * (g.a // e)
     raw = BinaryForm(aa, bb, (bb * bb - d) // (4 * aa), f.disc)
     return reduce_form(raw)[0]
+
+
+def _compose_ab(a1, b1, a2, b2, d):
+    """The reduced (a, b, c) in the class of (a1, b1) times (a2, b2) at
+    discriminant d: compose_crt on integers, with no form or witness built.
+
+    B comes from composition_b and a3 = a1*a2/e^2; the composite's c is
+    (B^2 - d)/(4*a3), checked exact. The loop is reduce_form's without the
+    witness.
+    """
+    b = composition_b(a1, b1, a2, b2, d)
+    e = math.gcd(a1, a2, (b1 + b2) // 2)
+    a = (a1 // e) * (a2 // e)
+    c, r = divmod(b * b - d, 4 * a)
+    if r:
+        raise AssertionError(
+            f"composite of ({a1},{b1}) and ({a2},{b2}) has no integral c at d = {d}"
+        )
+    while True:
+        k = (a - b) // (2 * a)
+        if k:
+            b, c = b + 2 * k * a, a * k * k + b * k + c
+        if not (a > c or (a == c and b < 0)):
+            return a, b, c
+        a, b, c = c, -b, a

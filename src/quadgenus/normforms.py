@@ -10,8 +10,6 @@ compose_via_matrices writes its own 2x2 substitution out.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .arith import DomainError, Discriminant, QuadInt, _Value
 from .lattice import GenTuple, check_matrix, solve_transform
 
@@ -26,7 +24,6 @@ __all__ = [
 ]
 
 
-@cache
 def _keys(m: int) -> tuple:
     """The (i, j) with i <= j < m, in order."""
     return tuple((i, j) for i in range(m) for j in range(i, m))
@@ -146,20 +143,14 @@ def integral_tuple(disc: Discriminant, m: int = 2) -> GenTuple:
     return GenTuple((one, QuadInt.omega(disc)) + (zero,) * (m - 2), disc)
 
 
-def principal_norm_form(disc: Discriminant, m: int = 2) -> MultiQuadraticForm:
-    """Norm form of the order: x^2 + d*xy + ((d^2-d)/4)*y^2, zero-padded.
-
-    Written down from d: the matrix route expands no norm form. The binary
-    one (m = 2) is built once and kept on the Discriminant."""
-    if m < 2:
-        raise DomainError("the order needs at least two generators")
-    binary = type(m) is int and m == 2  # any other m goes to the validating constructor
-    if binary and disc._norm_form is not None:
-        return disc._norm_form
-    d = disc.d
-    f = MultiQuadraticForm(m, {(0, 0): 1, (0, 1): d, (1, 1): (d * d - d) // 4}, disc)
-    if binary:
-        disc._norm_form = f
+def principal_norm_form(disc: Discriminant) -> MultiQuadraticForm:
+    """Norm form of the order, x^2 + d*xy + ((d^2-d)/4)*y^2, written down from
+    d (the matrix route expands no norm form) and kept on the Discriminant.
+    In m variables it is norm_form(integral_tuple(disc, m))."""
+    f = disc._norm_form
+    if f is None:
+        d = disc.d
+        f = disc._norm_form = MultiQuadraticForm.from_binary_triple(1, d, (d * d - d) // 4, disc)
     return f
 
 

@@ -109,7 +109,7 @@ def test_c1_dual_oracle_composition(groups):
         for i in range(h):
             fi = forms[i]
             for j in range(h):
-                crt = forms[g.table[i][j]]
+                crt = compose_crt(fi, forms[j])
                 mat = compose_via_matrices(fi, forms[j])
                 content, prod = ideal_mul(ideals[i], ideals[j])
                 idl = reduce_form(ideal_to_form(prod))[0]

@@ -10,17 +10,24 @@ from pathlib import Path
 import pytest
 
 import quadgenus.classgroup as classgroup
+import quadgenus.forms as forms
 from quadgenus.arith import Discriminant
 from quadgenus.classgroup import (
-    _compose_ab,
     _smith_invariants,
     cl_mod_squares,
     class_group,
     genus_count_from_factorization,
     two_torsion,
 )
-from quadgenus.forms import BinaryForm, compose_crt, enumerate_reduced, form_inverse
+from quadgenus.forms import BinaryForm, _compose_ab, compose_crt, enumerate_reduced, form_inverse
 from test_ideals import _big_pairs
+
+
+def _crt_table(g):
+    """The Cayley table of g by full pairwise compose_crt, the reference
+    that ClassGroup.table's integer kernel is checked against."""
+    position = {f: i for i, f in enumerate(g.elements)}
+    return [[position[compose_crt(f, k)] for k in g.elements] for f in g.elements]
 
 
 def test_trivial_group():
@@ -110,7 +117,7 @@ def test_structure_matches_order_statistics():
     discs = [dv for dv in range(-3, -600, -1) if dv % 4 in (0, 1)]
     for dv in rng.sample(discs, 60):
         g = class_group(Discriminant(dv))
-        table = g.table
+        table = _crt_table(g)
         # table orders
         orders = []
         for i in range(g.h):
@@ -204,7 +211,7 @@ def test_inverse_lands_in_same_coset():
     for dv in (-23, -84, -120, -231, -479, -455):
         g = class_group(Discriminant(dv))
         order, reps = cl_mod_squares(g)
-        t = g.table
+        t = _crt_table(g)
         squares = {t[i][i] for i in range(g.h)}
         rep_of = {}
         for i in range(g.h):
@@ -216,7 +223,7 @@ def test_inverse_lands_in_same_coset():
 
 
 # --- Cayley-table oracles -----------------------------------------------------
-# They read only g.table, which is filled by full pairwise compose_crt:
+# They read only _crt_table(g), which is filled by full pairwise compose_crt:
 # invariant factors by peeling off cyclic subgroups of maximal order,
 # two-torsion from the diagonal, and the squares quotient by a coset sweep.
 
@@ -265,13 +272,11 @@ def _invariant_factors(table, e):
     return _invariant_factors(q, qe) + [top]
 
 
-def _table_two_torsion(g):
-    t = g.table
+def _table_two_torsion(g, t):
     return [f for i, f in enumerate(g.elements) if t[i][i] == 0]
 
 
-def _table_cl_mod_squares(g):
-    t = g.table
+def _table_cl_mod_squares(g, t):
     squares = sorted({t[i][i] for i in range(g.h)})
     seen = [False] * g.h
     reps = []
@@ -288,9 +293,17 @@ def test_generator_extension_matches_cayley_table():
     # -4980 is the first d with five generators, -5460 has Cl = (Z/2)^4
     for dv in [dv for dv in range(-3, -2001, -1) if dv % 4 in (0, 1)] + [-4980, -5460]:
         g = class_group(Discriminant(dv))
-        assert g.structure == _invariant_factors(g.table, 0), dv
-        assert two_torsion(g) == _table_two_torsion(g), dv
-        assert cl_mod_squares(g) == _table_cl_mod_squares(g), dv
+        t = _crt_table(g)
+        assert g.structure == _invariant_factors(t, 0), dv
+        assert two_torsion(g) == _table_two_torsion(g, t), dv
+        assert cl_mod_squares(g) == _table_cl_mod_squares(g, t), dv
+
+
+def test_table_matches_compose_crt():
+    for dv in range(-3, -2001, -1):
+        if dv % 4 in (0, 1):
+            g = class_group(Discriminant(dv))
+            assert g.table == _crt_table(g), dv
 
 
 def test_squares_quotient_reduces_each_generator_once(monkeypatch):
@@ -329,7 +342,7 @@ def test_exponent_vectors_compose_like_the_table():
             return tuple(v)
 
         assert len({normal(c) for c in g.coords}) == g.h
-        t = g.table
+        t = _crt_table(g)
         for i in range(g.h):
             for j in range(g.h):
                 s = [x + y for x, y in zip(g.coords[i], g.coords[j])]
@@ -367,22 +380,16 @@ def test_smith_invariants():
 
 
 def test_class_group_composes_about_h_times(monkeypatch):
-    # the generator loop composes with its integer kernel, the table with
-    # compose_crt; each is counted through its classgroup binding
+    # the generator loop and the table both compose with the integer
+    # kernel, counted through its classgroup binding
     calls = []
-    table_calls = []
-    kernel, crt = classgroup._compose_ab, classgroup.compose_crt
+    kernel = classgroup._compose_ab
 
     def counted(a1, b1, a2, b2, d):
         calls.append(1)
         return kernel(a1, b1, a2, b2, d)
 
-    def counted_crt(f, g):
-        table_calls.append(1)
-        return crt(f, g)
-
     monkeypatch.setattr(classgroup, "_compose_ab", counted)
-    monkeypatch.setattr(classgroup, "compose_crt", counted_crt)
     for dv in (-4000003, -4, -23, -84, -455, -30011, -5460):
         calls.clear()
         g = class_group(Discriminant(dv))
@@ -390,10 +397,9 @@ def test_class_group_composes_about_h_times(monkeypatch):
         cl_mod_squares(g)
         assert len(calls) <= g.h, dv
         assert g._table is None
-    assert calls and not table_calls
     calls.clear()
-    assert len(g.table) == g.h and len(table_calls) == g.h * (g.h + 1) // 2
-    assert not calls
+    assert len(g.table) == g.h and len(calls) == g.h * (g.h + 1) // 2
+    calls.clear()
     # about half the classes are composed, the rest are inverses
     total_h = 0
     for dv in range(-3, -6001, -1):
@@ -430,8 +436,8 @@ _INEXACT = "composite of (2,2) and (3,0) has no integral c at d = -84"
 
 
 def test_kernel_checks_that_the_composite_is_exact(monkeypatch):
-    real = classgroup.composition_b
-    monkeypatch.setattr(classgroup, "composition_b", lambda *args: real(*args) + 2)
+    real = forms.composition_b
+    monkeypatch.setattr(forms, "composition_b", lambda *args: real(*args) + 2)
     with pytest.raises(AssertionError) as info:
         class_group(Discriminant(-84))
     assert str(info.value) == _INEXACT
@@ -440,9 +446,10 @@ def test_kernel_checks_that_the_composite_is_exact(monkeypatch):
 def test_kernel_checks_that_the_composite_is_exact_under_O():
     code = "\n".join([
         "import quadgenus.classgroup as classgroup",
+        "import quadgenus.forms as forms",
         "from quadgenus.arith import Discriminant",
-        "real = classgroup.composition_b",
-        "classgroup.composition_b = lambda *args: real(*args) + 2",
+        "real = forms.composition_b",
+        "forms.composition_b = lambda *args: real(*args) + 2",
         "try:",
         "    classgroup.class_group(Discriminant(-84))",
         "except AssertionError as exc:",

@@ -380,6 +380,21 @@ def test_console_entry_point():
     assert json.loads(bad.stderr)["status"] == "error"
 
 
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["text", "json"])
+def test_closed_stdout_ends_quietly(fmt):
+    # a reader that leaves before the output is written (`| head -1`) is no
+    # domain error: exit 0, and no traceback on stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    argv = [sys.executable, "-m", "quadgenus", *fmt, "compose", "-d", "-23", "(2,1,3)", "(2,1,3)"]
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(argv, stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

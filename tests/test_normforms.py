@@ -51,17 +51,20 @@ def test_principal_norm_form():
     assert principal_norm_form(Discriminant(-4)).binary_triple() == (1, -4, 5)
 
 
+def test_principal_norm_form_is_the_norm_form_of_the_order():
+    for dv in range(-3, -2001, -1):
+        if dv % 4 in (0, 1):
+            d = Discriminant(dv)
+            assert principal_norm_form(d) == norm_form(integral_tuple(d)), dv
+
+
 def test_discriminant_keeps_its_binary_norm_form():
     d, fresh = Discriminant(-84), Discriminant(-84)
     f = principal_norm_form(d)
     assert principal_norm_form(d) is f
     assert f == MultiQuadraticForm(2, {(0, 0): 1, (0, 1): -84, (1, 1): 1785}, fresh)
-    # the kept form is no part of the value, and wider forms are built anew
+    # the kept form is no part of the value
     assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
-    with pytest.raises(DomainError):
-        principal_norm_form(d, 2.0)
-    wide = principal_norm_form(d, 3)
-    assert principal_norm_form(d, 3) is not wide and wide.coeff(1, 1) == 1785
 
 
 def test_norm_form_of_ideal_tuple():

@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 import quadgenus
@@ -205,3 +206,27 @@ def test_per_op_code_builds_no_generators():
         "lattice.py", {"GenTuple.__init__", "GenTuple.coords", "_basis_rows", "module_mul"}
     )
     assert found == []
+
+
+def test_classgroup_composes_only_through_the_forms_kernel():
+    # forms is the one module that knows the composition law: the class-group
+    # loop and its Cayley table both call forms._compose_ab
+    assert _imported_names("classgroup.py", "forms") == {
+        "BinaryForm",
+        "_compose_ab",
+        "enumerate_reduced",
+        "principal_form",
+        "reduce_form",
+    }
+    defined = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "_compose_ab"
+    ]
+    assert defined == ["forms.py"]
+
+
+def test_the_order_norm_form_has_one_spelling():
+    # binary only; in m variables it is norm_form(integral_tuple(disc, m))
+    assert list(inspect.signature(normforms.principal_norm_form).parameters) == ["disc"]

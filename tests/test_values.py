@@ -13,7 +13,7 @@ from quadgenus.arith import Discriminant, DomainError, QuadInt
 from quadgenus.forms import BinaryForm
 from quadgenus.ideals import OrderIdeal
 from quadgenus.lattice import GenTuple, hnf_basis
-from quadgenus.normforms import MultiQuadraticForm, integral_tuple, principal_norm_form
+from quadgenus.normforms import MultiQuadraticForm, integral_tuple
 
 D23 = Discriminant(-23)
 
@@ -175,10 +175,6 @@ def test_unequal_values(x, y):
             lambda: integral_tuple(D23, 2.0),
             DomainError("variable count must be an integer >= 1, got 2.0"),
         ),
-        (
-            lambda: principal_norm_form(D23, 1),
-            DomainError("the order needs at least two generators"),
-        ),
         (lambda: OrderIdeal(3, 1, D23).norm(), 3),
         (lambda: list(_tuple()), [QuadInt.from_int(4, D23), QuadInt(1, -1, D23)]),
         (lambda: QuadInt(0, 0, D23).is_zero(), True),
@@ -197,7 +193,6 @@ def test_unequal_values(x, y):
         "binary-triple-of-ternary",
         "integral-tuple-one-variable",
         "integral-tuple-float",
-        "principal-norm-form-one-variable",
         "ideal-norm",
         "gentuple-iter",
         "quadint-zero",
