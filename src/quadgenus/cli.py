@@ -6,18 +6,22 @@ inputs give byte-identical output. Errors go to stderr as an envelope,
 exit code 1 for domain errors, 2 for usage errors and 3 for internal
 errors (any other fault inside the library, such as a broken invariant),
 whose message names the library module that raised it.
+
+Arguments: -d, the discriminant; f, g, form: forms "(a,b,c)"; i1, i2,
+ideal: ideals "(a,b)"; tuple, x, y: tuples "(p,q),(p,q),..."; matrix:
+JSON rows; --range "-lo..-hi"; --samples: pairs per discriminant (25);
+--table: add the Cayley table; --format: json or text (or QG_FORMAT).
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import os
 import random
 import re
 import sys
+from types import SimpleNamespace
 
 from .arith import Discriminant, DomainError, QuadInt
 from .classgroup import cl_mod_squares, class_group, two_torsion
@@ -37,15 +41,13 @@ _IDEAL_RE = re.compile(rf"\s*{_PAIR}\s*")
 _TUPLE_RE = re.compile(rf"\s*{_PAIR}(\s*,\s*{_PAIR})*\s*")
 _RANGE_RE = re.compile(r"\s*-\d+\s*\.\.\s*-\d+\s*")
 _NUMBER_RE = re.compile(r"-?\d+")
+# an option: "--" and a name, or "-" and a letter, then "=" and a value or
+# (after the letter) the value itself; -23 or -4..-40 is a value
+_OPTION_RE = re.compile(r"(--[^=]*|-[a-zA-Z])(=?)(.*)", re.S)
 
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 def _ints(pattern: re.Pattern, text: str, error: str | None = None) -> list[int] | None:
@@ -241,51 +243,97 @@ def _cmd_verify(args, _disc):
     return result, lines
 
 
-def build_parser() -> _Parser:
-    shared = _Parser(add_help=False)
-    shared.add_argument(
-        "--format",
-        choices=("json", "text"),
-        default=argparse.SUPPRESS,
-        help="output format (default: text, or the QG_FORMAT environment variable)",
-    )
-    parser = _Parser(prog="quadgenus", description=__doc__, parents=[shared])
-    sub = parser.add_subparsers(dest="command", metavar="command")
+# name -> (handler, positional names, fixed values, options), in the order
+# that --help lists them and an unknown command is offered them. An option
+# with a fixed value is optional, and the others are required.
+_COMMANDS = {
+    "reduce": (_cmd_reduce, ("form",), {}, ("-d",)),
+    "enumerate": (_cmd_enumerate, (), {}, ("-d",)),
+    "compose": (_cmd_compose, ("f", "g"), {"route": compose_crt}, ("-d",)),
+    "compose-matrix": (_cmd_compose, ("f", "g"), {"route": compose_via_matrices}, ("-d",)),
+    "classgroup": (
+        _cmd_classgroup, (), {"fields": ("d", "h", "structure", "elements", "two_torsion", "genus_order"), "table": False},
+        ("-d", "--table"),
+    ),
+    "ideal-mul": (_cmd_ideal_mul, ("i1", "i2"), {}, ("-d",)),
+    "form2ideal": (_cmd_form2ideal, ("form",), {}, ("-d",)),
+    "ideal2form": (_cmd_ideal2form, ("ideal",), {}, ("-d",)),
+    "normform": (_cmd_normform, ("tuple",), {}, ("-d",)),
+    "solve-transform": (_cmd_solve_transform, ("x", "y"), {}, ("-d",)),
+    "form-action": (_cmd_form_action, ("matrix", "form"), {}, ("-d",)),
+    "genus": (
+        _cmd_classgroup, (), {"fields": ("d", "h", "two_torsion", "genus_order", "coset_reps"), "table": False},
+        ("-d",),
+    ),
+    "verify": (_cmd_verify, (), {"samples": 25}, ("--range", "--samples")),
+}
 
-    def add(name, fn, **arguments):
-        p = sub.add_parser(name, parents=[shared])
-        p.add_argument("-d", type=int, required=True, help="discriminant (negative, 0 or 1 mod 4)")
-        for arg, helptext in arguments.items():
-            p.add_argument(arg, help=helptext)
-        p.set_defaults(fn=fn)
-        return p
-
-    two_forms = {"f": 'first form "(a,b,c)"', "g": 'second form "(a,b,c)"'}
-    add("reduce", _cmd_reduce, form='form "(a,b,c)"')
-    add("enumerate", _cmd_enumerate)
-    add("compose", _cmd_compose, **two_forms).set_defaults(route=compose_crt)
-    add("compose-matrix", _cmd_compose, **two_forms).set_defaults(route=compose_via_matrices)
-    p = add("classgroup", _cmd_classgroup)
-    p.add_argument("--table", action="store_true", help="include the full Cayley table")
-    p.set_defaults(fields=("d", "h", "structure", "elements", "two_torsion", "genus_order"))
-    add("ideal-mul", _cmd_ideal_mul, i1='first ideal "(a,b)"', i2='second ideal "(a,b)"')
-    add("form2ideal", _cmd_form2ideal, form='form "(a,b,c)"')
-    add("ideal2form", _cmd_ideal2form, ideal='ideal "(a,b)"')
-    add("normform", _cmd_normform, tuple='generator tuple "(p,q),(p,q),..."')
-    add("solve-transform", _cmd_solve_transform, x='source tuple "(p,q),..."', y='target tuple "(p,q),..."')
-    add("form-action", _cmd_form_action, matrix='matrix "[[..],[..]]"', form='form "(a,b,c)" or tuple "(p,q),..."')
-    add("genus", _cmd_classgroup).set_defaults(
-        fields=("d", "h", "two_torsion", "genus_order", "coset_reps"), table=False
-    )
-    vp = sub.add_parser("verify", parents=[shared])
-    vp.add_argument("--range", required=True, help='discriminant range "-lo..-hi"')
-    vp.add_argument("--samples", type=int, default=25, help="max pairs per discriminant")
-    vp.set_defaults(fn=_cmd_verify)
-    return parser
+# option -> int, str, its choices, or None for a flag; no long option is a
+# prefix of another
+_OPTIONS = {"--format": ("json", "text"), "-d": int, "--table": None, "--range": str, "--samples": int}
 
 
-# built on the first main() call, not at import, and reused after that
-_parser = functools.cache(build_parser)
+def _choice(arg, value, choices) -> UsageError:
+    return UsageError(f"argument {arg}: invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
+
+
+def _parse(argv) -> tuple[str, dict | None]:
+    """The command argv names ("" if none) and its arguments, or None for
+    them if argv asks for help."""
+    name, names, fixed, options = "", (), {}, ()
+    args, given, extras = {}, [], []
+    ended = False  # by "--", after which every token is a value
+    tokens = iter(argv)
+    for token in tokens:
+        m = not ended and _OPTION_RE.match(token)
+        if not m:
+            if name:
+                (given if len(given) < len(names) else extras).append(token)
+            elif token in _COMMANDS:
+                name, (_, names, fixed, options) = token, _COMMANDS[token]
+            else:
+                raise _choice("command", token, _COMMANDS)
+            continue
+        if token == "--":
+            ended = True
+            continue
+        key, eq, value = m.groups()
+        match = [o for o in ("--format", "-h", "--help", *options) if o.startswith(key)]
+        if len(match) != 1:
+            extras.append(token)
+            continue
+        opt = match[0]
+        if opt in ("-h", "--help"):
+            return name, None
+        kind = _OPTIONS[opt]
+        if kind is None:
+            if eq or value:
+                raise UsageError(f"argument {opt}: ignored explicit argument {value!r}")
+            value = True
+        elif not (eq or value):  # the value is the next token
+            value = next(tokens, "--")
+            if _OPTION_RE.match(value):
+                raise UsageError(f"argument {opt}: expected one argument")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"argument {opt}: invalid int value: {value!r}") from None
+        elif type(kind) is tuple and value not in kind:
+            raise _choice(opt, value, kind)
+        args[opt.lstrip("-")] = value
+    args = fixed | args
+    if missing := [o for o in options if o.lstrip("-") not in args] + list(names[len(given):]):
+        raise UsageError("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        raise UsageError("unrecognized arguments: " + " ".join(extras))
+    return name, args | dict(zip(names, given))
+
+
+def _help(name: str) -> str:
+    """The --help text, for the named command or for every one."""
+    lines = ["  " + " ".join((n, *c[3], *c[1])) for n, c in _COMMANDS.items() if name in ("", n)]
+    return "\n".join(["usage: quadgenus [-h] [--format json|text] command ...", *lines, "", __doc__])
 
 
 def _raising_module(exc) -> str:
@@ -317,44 +365,42 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(limit)
 
 
+def _emit(stream, lines) -> None:
+    """Print lines to stream; if its reader has gone (`| head -1`), point
+    its fd at devnull, so that the flush at interpreter exit cannot raise."""
+    try:
+        for line in lines:
+            print(line, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+
+
 def _run(argv) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # join option values that start with "-" so argparse does not read them
-    # as flags, e.g. --range -4..-2000
-    while "--range" in argv[:-1]:
-        i = argv.index("--range")
-        argv[i:i + 2] = [f"--range={argv[i + 1]}"]
     command = ""
     try:
-        args = _parser().parse_args(argv)
-        command = args.command or ""
-        fmt = getattr(args, "format", None) or os.environ.get("QG_FORMAT") or "text"
+        command, args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            _emit(sys.stdout, [_help(command)])
+            return 0
+        fmt = args.get("format") or os.environ.get("QG_FORMAT") or "text"
         if fmt not in ("json", "text"):
             raise UsageError(f"QG_FORMAT must be json or text, not {fmt!r}")
         if not command:
             raise UsageError("a subcommand is required (try --help)")
-        disc = Discriminant(args.d) if "d" in args else None
-        result, lines = args.fn(args, disc)
+        disc = Discriminant(args["d"]) if "d" in args else None
+        result, lines = _COMMANDS[command][0](SimpleNamespace(**args), disc)
     except Exception as exc:
         if isinstance(exc, (UsageError, DomainError)):
             code, error = (2 if isinstance(exc, UsageError) else 1), str(exc)
         else:
             code, error = 3, f"internal error in {_raising_module(exc)}: {exc}"
-        print(_json({"status": "error", "command": command, "error": error}), file=sys.stderr)
+        # the exit code holds even when stderr is closed
+        _emit(sys.stderr, [_json({"status": "error", "command": command, "error": error})])
         return code
-    # a reader that closes stdout early (`| head -1`) ends the run quietly,
-    # with fd 1 on devnull so that the flush at interpreter exit cannot raise
-    try:
-        if fmt == "json":
-            print(_json({"status": "ok", "command": command, "result": result}))
-        else:
-            for line in lines:
-                print(line)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    _emit(sys.stdout, [_json({"status": "ok", "command": command, "result": result})] if fmt == "json" else lines)
     return 0
 
 

@@ -286,6 +286,84 @@ def test_usage_errors_exit_2(capsys):
         assert json.loads(err)["error"] == f"cannot parse {bad!r}, expected \"(x,y),(x,y),...\""
 
 
+COMPOSE = ["compose", "-d", "-23", "(2,1,3)", "(2,1,3)"]
+VERIFY = ["verify", "--range", "-4..-40", "--samples", "3"]
+COMMANDS = (
+    "reduce", "enumerate", "compose", "compose-matrix", "classgroup", "ideal-mul", "form2ideal",
+    "ideal2form", "normform", "solve-transform", "form-action", "genus", "verify",
+)
+
+
+@pytest.mark.parametrize(
+    "spelling, canonical",
+    [
+        # --format before or after the command, options before or after positionals
+        (["compose", "--format", "json", *COMPOSE[1:]], ["--format", "json", *COMPOSE]),
+        ([*COMPOSE, "--format", "json"], ["--format", "json", *COMPOSE]),
+        (["compose", "(2,1,3)", "(2,1,3)", "-d", "-23"], COMPOSE),
+        (["compose", "(2,1,3)", "-d", "-23", "(2,1,3)"], COMPOSE),
+        (["classgroup", "--table", "-d", "-23"], ["classgroup", "-d", "-23", "--table"]),
+        (["verify", "--samples", "3", "--range", "-4..-40"], VERIFY),
+        # --name=value, and -d=value or -dvalue
+        (["--format=json", *COMPOSE], ["--format", "json", *COMPOSE]),
+        (["compose", "-d=-23", "(2,1,3)", "(2,1,3)"], COMPOSE),
+        (["compose", "-d-23", "(2,1,3)", "(2,1,3)"], COMPOSE),
+        (["verify", "--range=-4..-40", "--samples=3"], VERIFY),
+        # a unique prefix of a long option
+        (["--form", "json", *COMPOSE], ["--format", "json", *COMPOSE]),
+        ([*COMPOSE, "--f=json"], ["--format", "json", *COMPOSE]),
+        (["classgroup", "-d", "-23", "--tab"], ["classgroup", "-d", "-23", "--table"]),
+        (["verify", "--ra=-4..-40", "--s", "3"], VERIFY),
+        # -- ends the options
+        (["compose", "-d", "-23", "--", "(2,1,3)", "(2,1,3)"], COMPOSE),
+        (["compose", "-d", "-23", "(2,1,3)", "--", "(2,1,3)"], COMPOSE),
+        # a repeated option keeps its last value
+        (["compose", "-d", "-5", *COMPOSE[1:]], COMPOSE),
+        (["--format", "text", *COMPOSE, "--format", "json"], ["--format", "json", *COMPOSE]),
+        (["verify", "--range", "-4..-8", "--samples", "9", *VERIFY[1:]], VERIFY),
+        (["classgroup", "-d", "-23", "--table", "--table"], ["classgroup", "-d", "-23", "--table"]),
+        # values that start with "-", and int() spellings of -d and --samples
+        (["compose", "-d", " -23 ", "(2,1,3)", "(2,1,3)"], COMPOSE),
+        (["verify", "--range", "-4..-40", "--samples", "+3"], VERIFY),
+        (["verify", "--range", "-4..-40", "--samples", " 3 "], VERIFY),
+    ],
+)
+def test_argv_grammar(capsys, spelling, canonical):
+    expected = run_cli(capsys, *canonical)
+    assert expected[0] == 0 and expected[1]
+    assert run_cli(capsys, *spelling) == expected
+
+
+CHOICES = ", ".join(repr(name) for name in COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (COMPOSE[:-1], "the following arguments are required: g"),
+        (["compose", "(2,1,3)", "(2,1,3)"], "the following arguments are required: -d"),
+        (["compose"], "the following arguments are required: -d, f, g"),
+        (["verify", "--samples", "3"], "the following arguments are required: --range"),
+        (["compose", "-d", "abc", "(2,1,3)", "(2,1,3)"], "argument -d: invalid int value: 'abc'"),
+        (["verify", "--range", "-4..-40", "--samples", "x"], "argument --samples: invalid int value: 'x'"),
+        (["compose", "-d"], "argument -d: expected one argument"),
+        (["compose", "(2,1,3)", "(2,1,3)", "-d"], "argument -d: expected one argument"),
+        (["verify", "--range"], "argument --range: expected one argument"),
+        (["verify", "-d", "-23", "--range", "-4..-40"], "unrecognized arguments: -d -23"),
+        ([*COMPOSE, "--table"], "unrecognized arguments: --table"),
+        ([*COMPOSE, "(2,1,3)"], "unrecognized arguments: (2,1,3)"),
+        (["nope"], f"argument command: invalid choice: 'nope' (choose from {CHOICES})"),
+        (["--format", "xml", *COMPOSE], "argument --format: invalid choice: 'xml' (choose from 'json', 'text')"),
+        ([], "a subcommand is required (try --help)"),
+        (["--format", "json"], "a subcommand is required (try --help)"),
+    ],
+)
+def test_argv_grammar_errors(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"status": "error", "command": "", "error": error}
+
+
 def test_env_var_format(capsys, monkeypatch):
     monkeypatch.setenv("QG_FORMAT", "json")
     code, out, _ = run_cli(capsys, "reduce", "-d", "-4", "(1,-4,5)")
@@ -380,19 +458,48 @@ def test_console_entry_point():
     assert json.loads(bad.stderr)["status"] == "error"
 
 
+def run_closed(stream, argv):
+    """`python -m quadgenus *argv` with stream ("stdout" or "stderr") a pipe
+    whose reader has gone; the other stream is captured."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    r, w = os.pipe()
+    os.close(r)
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: w}
+    try:
+        return subprocess.run([sys.executable, "-m", "quadgenus", *argv], **pipes, env=env, timeout=60)
+    finally:
+        os.close(w)
+
+
 @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["text", "json"])
 def test_closed_stdout_ends_quietly(fmt):
     # a reader that leaves before the output is written (`| head -1`) is no
     # domain error: exit 0, and no traceback on stderr
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    argv = [sys.executable, "-m", "quadgenus", *fmt, "compose", "-d", "-23", "(2,1,3)", "(2,1,3)"]
-    r, w = os.pipe()
-    os.close(r)
-    try:
-        proc = subprocess.run(argv, stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
-    finally:
-        os.close(w)
+    proc = run_closed("stdout", [*fmt, "compose", "-d", "-23", "(2,1,3)", "(2,1,3)"])
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["compose", "-d", "-23", "(2,1,3)"], 2), (["compose", "-d", "-5", "(1,0,1)", "(1,0,1)"], 1)],
+    ids=["usage", "domain"],
+)
+def test_closed_stderr_keeps_the_exit_code(argv, code):
+    # the error envelope cannot be written, but the exit code still tells
+    # a usage error from a domain error
+    proc = run_closed("stderr", argv)
+    assert (proc.returncode, proc.stdout) == (code, b"")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["compose", "--help"]])
+def test_help(argv):
+    proc = run_child("-m", "quadgenus", *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    words = set(proc.stdout.split())
+    if argv[0] == "compose":
+        assert {"-d", "f", "g"} <= words
+    else:
+        assert set(COMMANDS) <= words
 
 
 @pytest.mark.parametrize(

@@ -42,6 +42,11 @@ def test_classgroup_does_not_import_lattice():
     assert ".lattice" not in _imported_modules("classgroup.py")
 
 
+def test_cli_builds_no_argparse_parser():
+    # every CLI process imports cli.py; neither module is needed to read argv
+    assert not {"argparse", "functools"} & _imported_modules("cli.py")
+
+
 def test_package_all_is_the_module_lists():
     modules = ("arith", "lattice", "normforms", "forms", "ideals", "classgroup")
     names = [n for mod in modules for n in getattr(quadgenus, mod).__all__]
