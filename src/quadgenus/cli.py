@@ -21,7 +21,6 @@ import os
 import random
 import re
 import sys
-from types import SimpleNamespace
 
 from .arith import Discriminant, DomainError, QuadInt
 from .classgroup import cl_mod_squares, class_group, two_torsion
@@ -92,8 +91,6 @@ def _parse_matrix(text: str):
 def _stringify(value):
     """JSON-ready copy of a result: integers as decimal strings, forms,
     ideals and norm forms as objects of their fields."""
-    if isinstance(value, bool):
-        return value
     if isinstance(value, int):
         return str(value)
     if isinstance(value, (list, tuple)):
@@ -118,12 +115,12 @@ def _text(value) -> str:
     return json.dumps(value)
 
 
-# Subcommand handlers: each takes the parsed arguments and the
+# Subcommand handlers: each takes the dict of parsed arguments and the
 # discriminant of -d (None for verify) and returns (result, text_lines)
 
 
 def _cmd_reduce(args, disc):
-    r, w = reduce_form(_parse_form(args.form, disc))
+    r, w = reduce_form(_parse_form(args["form"], disc))
     return {"form": r, "witness": w}, [str(r), "witness: " + _text(w)]
 
 
@@ -133,7 +130,7 @@ def _cmd_enumerate(args, disc):
 
 
 def _cmd_compose(args, disc):
-    r = args.route(_parse_form(args.f, disc), _parse_form(args.g, disc))
+    r = args["route"](_parse_form(args["f"], disc), _parse_form(args["g"], disc))
     return {"form": r}, [str(r)]
 
 
@@ -149,9 +146,9 @@ def _cmd_classgroup(args, disc):
         "genus_order": genus_order,
         "coset_reps": reps,
     }
-    result = {k: values[k] for k in args.fields}
+    result = {k: values[k] for k in args["fields"]}
     lines = [f"{k}: {_text(v)}" for k, v in result.items()]
-    if args.table:
+    if args["table"]:
         result["table"] = g.table
         lines.append("table:")
         lines += ["  " + " ".join(str(k) for k in row) for row in g.table]
@@ -159,38 +156,38 @@ def _cmd_classgroup(args, disc):
 
 
 def _cmd_ideal_mul(args, disc):
-    content, prod = ideal_mul(_parse_ideal(args.i1, disc), _parse_ideal(args.i2, disc))
+    content, prod = ideal_mul(_parse_ideal(args["i1"], disc), _parse_ideal(args["i2"], disc))
     text = str(prod) if content == 1 else f"{content} * {prod}"
     return {"content": content, "ideal": prod}, [text]
 
 
 def _cmd_form2ideal(args, disc):
-    i = form_to_ideal(_parse_form(args.form, disc))
+    i = form_to_ideal(_parse_form(args["form"], disc))
     return {"ideal": i}, [str(i)]
 
 
 def _cmd_ideal2form(args, disc):
-    f = ideal_to_form(_parse_ideal(args.ideal, disc))
+    f = ideal_to_form(_parse_ideal(args["ideal"], disc))
     return {"form": f}, [str(f)]
 
 
 def _cmd_normform(args, disc):
-    f = norm_form(_parse_tuple(args.tuple, disc))
+    f = norm_form(_parse_tuple(args["tuple"], disc))
     return {"form": f}, [str(f)]
 
 
 def _cmd_solve_transform(args, disc):
-    h = solve_transform(_parse_tuple(args.x, disc), _parse_tuple(args.y, disc))
+    h = solve_transform(_parse_tuple(args["x"], disc), _parse_tuple(args["y"], disc))
     return {"matrix": h}, [_text(h)]
 
 
 def _cmd_form_action(args, disc):
-    h = _parse_matrix(args.matrix)
+    h = _parse_matrix(args["matrix"])
     # a binary triple and a generator tuple never match each other's shape
-    if abc := _ints(_FORM_RE, args.form):
+    if abc := _ints(_FORM_RE, args["form"]):
         f = MultiQuadraticForm.from_binary_triple(*abc, disc)
     else:
-        f = norm_form(_parse_tuple(args.form, disc))
+        f = norm_form(_parse_tuple(args["form"], disc))
     r = form_action(h, f)
     return {"form": r}, [str(r)]
 
@@ -203,8 +200,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_verify(args, _disc):
-    lo, hi = _parse_range(args.range)
-    samples = args.samples
+    lo, hi = _parse_range(args["range"])
+    samples = args["samples"]
     if samples < 0:
         raise UsageError(f"--samples must be >= 0, got {samples}")
     rng = random.Random(0)
@@ -391,7 +388,7 @@ def _run(argv) -> int:
         if not command:
             raise UsageError("a subcommand is required (try --help)")
         disc = Discriminant(args["d"]) if "d" in args else None
-        result, lines = _COMMANDS[command][0](SimpleNamespace(**args), disc)
+        result, lines = _COMMANDS[command][0](args, disc)
     except Exception as exc:
         if isinstance(exc, (UsageError, DomainError)):
             code, error = (2 if isinstance(exc, UsageError) else 1), str(exc)

@@ -3,9 +3,9 @@
 Reduction (with a determinant-1 change-of-variables witness), enumeration
 of the reduced representatives, and Dirichlet/CRT composition: every pair,
 concordant or not, composes in one closed form (Cohen Alg. 5.4.7), with no
-repair step. _compose_ab is that composition on (a, b) integers, shared by
-the class-group loop and Cayley table and tested against compose_crt on
-every pair. Reduction and composition take O(log|d|) steps.
+repair step. composition_b derives the composite's (a3, B) once for
+compose_crt and for _compose_ab, its form-free twin that the class-group
+loop and Cayley table share. Reduction and composition take O(log|d|) steps.
 """
 
 from __future__ import annotations
@@ -170,9 +170,9 @@ def coprime_equivalent(g: BinaryForm, n: int) -> BinaryForm:
     raise AssertionError("primitive form failed to represent a coprime value")
 
 
-def composition_b(a1: int, b1: int, a2: int, b2: int, d: int) -> int:
-    """The composite's middle coefficient B, least non-negative modulo 2*a3,
-    where a3 = a1*a2/e^2 and e = gcd(a1, a2, s) with s = (b1 + b2)/2.
+def composition_b(a1: int, b1: int, a2: int, b2: int, d: int) -> tuple[int, int]:
+    """(a3, B) of the composite: a3 = a1*a2/e^2 with e = gcd(a1, a2, s) and
+    s = (b1 + b2)/2, and B least non-negative modulo 2*a3.
 
     Closed form (Dirichlet's united forms, Cohen Alg. 5.4.7): two xgcds give
     g1 = x*a1 + y*a2 and e = p*g1 + w*s, and then
@@ -184,23 +184,22 @@ def composition_b(a1: int, b1: int, a2: int, b2: int, d: int) -> int:
     g1, x, y = _xgcd(a1, a2)
     e, p, w = _xgcd(g1, s)
     h = (b1 * b2 + d) // 2
-    mod = 2 * (a1 // e) * (a2 // e)
+    a3 = (a1 // e) * (a2 // e)
+    mod = 2 * a3
     bb = (p * x * a1 * b2 + p * y * a2 * b1 + w * h) // e % mod
     if (a1 // e) * (bb - b2) % mod or (a2 // e) * (bb - b1) % mod or (s * bb - h) // e % mod:
         raise AssertionError(
             f"no composite middle coefficient for ({a1},{b1}) and ({a2},{b2}) at d = {d}"
         )
-    return bb
+    return a3, bb
 
 
 def compose_crt(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Composition via the congruence route, returned reduced: the composite
-    (a*a'/e^2, B, (B^2 - d)/(4*a*a'/e^2)) of any pair, B from composition_b."""
+    (a3, B, (B^2 - d)/(4*a3)) of any pair, (a3, B) from composition_b."""
     _check_same_disc(f.disc, g.disc)
     d = f.disc.d
-    bb = composition_b(f.a, f.b, g.a, g.b, d)
-    e = math.gcd(f.a, g.a, (f.b + g.b) // 2)
-    aa = (f.a // e) * (g.a // e)
+    aa, bb = composition_b(f.a, f.b, g.a, g.b, d)
     raw = BinaryForm(aa, bb, (bb * bb - d) // (4 * aa), f.disc)
     return reduce_form(raw)[0]
 
@@ -209,13 +208,10 @@ def _compose_ab(a1, b1, a2, b2, d):
     """The reduced (a, b, c) in the class of (a1, b1) times (a2, b2) at
     discriminant d: compose_crt on integers, with no form or witness built.
 
-    B comes from composition_b and a3 = a1*a2/e^2; the composite's c is
-    (B^2 - d)/(4*a3), checked exact. The loop is reduce_form's without the
-    witness.
+    (a3, B) comes from composition_b; the composite's c is (B^2 - d)/(4*a3),
+    checked exact. The loop is reduce_form's without the witness.
     """
-    b = composition_b(a1, b1, a2, b2, d)
-    e = math.gcd(a1, a2, (b1 + b2) // 2)
-    a = (a1 // e) * (a2 // e)
+    a, b = composition_b(a1, b1, a2, b2, d)
     c, r = divmod(b * b - d, 4 * a)
     if r:
         raise AssertionError(

@@ -138,7 +138,7 @@ def tau_pair(alpha: OrderIdeal, beta: OrderIdeal):
     """
     _check_same_disc(alpha.disc, beta.disc)
     e = math.gcd(alpha.a, beta.a, (alpha.b + beta.b) // 2)
-    bb = composition_b(alpha.a, alpha.b, beta.a, beta.b, alpha.disc.d)
+    bb = composition_b(alpha.a, alpha.b, beta.a, beta.b, alpha.disc.d)[1]
     k1, r1 = divmod(bb - alpha.b, 2 * alpha.a // e)
     k2, r2 = divmod(bb - beta.b, 2 * beta.a // e)
     if r1 or r2:

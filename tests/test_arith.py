@@ -3,7 +3,14 @@ import random
 import pytest
 import sympy
 
-from quadgenus.arith import Discriminant, DomainError, QuadInt, _is_probable_prime, factorize
+from quadgenus.arith import (
+    Discriminant,
+    DomainError,
+    QuadInt,
+    _conductor_split,
+    _is_probable_prime,
+    factorize,
+)
 
 
 def test_discriminant_validation():
@@ -50,6 +57,13 @@ def test_conductor_split(d, f, dk):
     assert disc.is_fundamental() == (f == 1)
 
 
+def test_conductor_split_checks_the_square_part():
+    # -6 is no discriminant: its square part 1 cannot be halved
+    with pytest.raises(AssertionError) as info:
+        _conductor_split(-6)
+    assert str(info.value) == "square part 1 of d = -6 must be even"
+
+
 def test_conductor_split_random():
     rng = random.Random(1)
     for _ in range(200):
@@ -73,6 +87,10 @@ def test_factorize_against_sympy():
     # a couple of larger composites for the rho path
     assert factorize(10**16 + 61) == dict(sympy.factorint(10**16 + 61))
     assert factorize((10**9 + 7) * (10**9 + 9)) == {10**9 + 7: 1, 10**9 + 9: 1}
+    # rho's batched gcd overshoots to n, so it backtracks one step at a time
+    assert factorize(249172201) == {13669: 1, 18229: 1}
+    # the backtrack reaches n as well, so rho starts again from a new seed
+    assert factorize(985254539) == {28549: 1, 34511: 1}
 
 
 # composites that pass the strong test to the 12 prime bases 2..37

@@ -437,7 +437,7 @@ _INEXACT = "composite of (2,2) and (3,0) has no integral c at d = -84"
 
 def test_kernel_checks_that_the_composite_is_exact(monkeypatch):
     real = forms.composition_b
-    monkeypatch.setattr(forms, "composition_b", lambda *args: real(*args) + 2)
+    monkeypatch.setattr(forms, "composition_b", lambda *args: (real(*args)[0], real(*args)[1] + 2))
     with pytest.raises(AssertionError) as info:
         class_group(Discriminant(-84))
     assert str(info.value) == _INEXACT
@@ -449,7 +449,7 @@ def test_kernel_checks_that_the_composite_is_exact_under_O():
         "import quadgenus.forms as forms",
         "from quadgenus.arith import Discriminant",
         "real = forms.composition_b",
-        "forms.composition_b = lambda *args: real(*args) + 2",
+        "forms.composition_b = lambda *args: (real(*args)[0], real(*args)[1] + 2)",
         "try:",
         "    classgroup.class_group(Discriminant(-84))",
         "except AssertionError as exc:",
@@ -614,6 +614,36 @@ def test_tampered_group_fails_its_invariant_check(tamper, run, message):
     tamper(g)
     with pytest.raises(AssertionError) as info:
         run(g)
+    assert str(info.value) == message
+
+
+def _rotate_the_enumeration(monkeypatch):
+    real = classgroup.enumerate_reduced
+    monkeypatch.setattr(classgroup, "enumerate_reduced", lambda disc: real(disc)[1:] + real(disc)[:1])
+
+
+def _compose_to_the_principal_class(monkeypatch):
+    # the second generator's coset then lands on the principal class
+    monkeypatch.setattr(classgroup, "_compose_ab", lambda a1, b1, a2, b2, d: (1, d % 2, 0))
+
+
+def _claim_order_five(monkeypatch):
+    monkeypatch.setattr(classgroup, "_smith_invariants", lambda rows: [5])
+
+
+@pytest.mark.parametrize(
+    "tamper,message",
+    [
+        (_rotate_the_enumeration, "principal form must sort first"),
+        (_compose_to_the_principal_class, "coset of the subgroup meets the subgroup"),
+        (_claim_order_five, "invariant factors must multiply to the class number"),
+    ],
+    ids=["enumeration", "kernel", "smith"],
+)
+def test_tampered_generator_loop_fails_its_invariant_check(monkeypatch, tamper, message):
+    tamper(monkeypatch)
+    with pytest.raises(AssertionError) as info:
+        class_group(Discriminant(-84))
     assert str(info.value) == message
 
 

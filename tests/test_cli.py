@@ -356,6 +356,7 @@ CHOICES = ", ".join(repr(name) for name in COMMANDS)
         (["--format", "xml", *COMPOSE], "argument --format: invalid choice: 'xml' (choose from 'json', 'text')"),
         ([], "a subcommand is required (try --help)"),
         (["--format", "json"], "a subcommand is required (try --help)"),
+        (["classgroup", "-d", "-23", "--table=x"], "argument --table: ignored explicit argument 'x'"),
     ],
 )
 def test_argv_grammar_errors(capsys, argv, error):
@@ -439,6 +440,12 @@ def test_digit_limit_is_restored(capsys):
         assert sys.get_int_max_str_digits() == 5000
     finally:
         sys.set_int_max_str_digits(before)
+
+
+def test_runs_without_a_digit_limit_to_lift(capsys, monkeypatch):
+    # CPython 3.10.0-3.10.6 has no sys.set_int_max_str_digits
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    assert run_cli(capsys, "compose", "-d", "-23", "(2,1,3)", "(2,1,3)") == (0, "(2,-1,3)\n", "")
 
 
 def run_child(*args):

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import quadgenus.forms as forms_module
 from quadgenus.arith import Discriminant, DomainError, _xgcd
 from quadgenus.forms import (
     BinaryForm,
@@ -261,7 +262,8 @@ def test_composition_b_matches_search():
         forms = enumerate_reduced(Discriminant(dv))
         for f in forms:
             for g in forms:
-                expected = _composition_b_by_search(f.a, f.b, g.a, g.b, dv)
+                e = math.gcd(f.a, g.a, (f.b + g.b) // 2)
+                expected = f.a * g.a // (e * e), _composition_b_by_search(f.a, f.b, g.a, g.b, dv)
                 assert composition_b(f.a, f.b, g.a, g.b, dv) == expected, (dv, f, g)
                 pairs += 1
     assert pairs == 240907
@@ -269,10 +271,24 @@ def test_composition_b_matches_search():
 
 def test_composition_b_non_concordant_examples():
     # (2,1,3) times its inverse at d = -23, e = 2: the composite is (1,1,6)
-    assert composition_b(2, 1, 2, -1, -23) == 1
+    assert composition_b(2, 1, 2, -1, -23) == (1, 1)
     # (4,-2,5) squared at d = -76, e = 2: B = 6 also meets B = b (mod 2a)
     # and B^2 = d (mod 4*a3), but (4,6,7) is the inverse class
-    assert composition_b(4, -2, 4, -2, -76) == 2
+    assert composition_b(4, -2, 4, -2, -76) == (4, 2)
+
+
+def test_composition_b_checks_its_congruences(monkeypatch):
+    # a cofactor that breaks Bezout's identity gives a B that fails them
+    real = forms_module._xgcd
+
+    def skewed(a, b):
+        g, x, y = real(a, b)
+        return g, x + 1, y
+
+    monkeypatch.setattr(forms_module, "_xgcd", skewed)
+    with pytest.raises(AssertionError) as info:
+        composition_b(2, 1, 2, 1, -23)
+    assert str(info.value) == "no composite middle coefficient for (2,1) and (2,1) at d = -23"
 
 
 def test_crt_and_ideal_routes_agree_before_reduction():
@@ -286,8 +302,7 @@ def test_crt_and_ideal_routes_agree_before_reduction():
         for f in forms:
             for g in forms:
                 e = math.gcd(f.a, g.a, (f.b + g.b) // 2)
-                a3 = f.a * g.a // (e * e)
-                bb = composition_b(f.a, f.b, g.a, g.b, dv)
+                a3, bb = composition_b(f.a, f.b, g.a, g.b, dv)
                 content, prod = ideal_mul(form_to_ideal(f), form_to_ideal(g))
                 assert content == e, (dv, f, g)
                 assert ideal_to_form(prod).triple() == (a3, bb, (bb * bb - dv) // (4 * a3))

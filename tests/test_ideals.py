@@ -236,6 +236,30 @@ def test_tau_pair_non_concordant_example():
     assert mat_mul(h_alpha(alpha), tau1) == ((2, 24), (0, 2))
 
 
+def test_tau_pair_checks_the_composite_b(monkeypatch):
+    real = ideals.composition_b
+    monkeypatch.setattr(ideals, "composition_b", lambda *args: (real(*args)[0], real(*args)[1] + 1))
+    alpha = OrderIdeal(2, 1, D23)
+    with pytest.raises(AssertionError) as info:
+        tau_pair(alpha, alpha)
+    assert str(info.value) == "composite B is not b (mod 2a/e) and b' (mod 2a'/e)"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (((0, 0), (0, 0)), "ideal product degenerated"),
+        (((3, 0), (0, 2)), "ideal product is not an ideal"),  # 2 does not divide 3
+    ],
+)
+def test_ideal_mul_checks_the_product_basis(monkeypatch, rows, message):
+    monkeypatch.setattr(ideals, "_basis_rows", lambda coords: rows)
+    alpha = OrderIdeal(2, 1, D23)
+    with pytest.raises(AssertionError) as info:
+        ideal_mul(alpha, alpha)
+    assert str(info.value) == message
+
+
 def _rebind(monkeypatch, original, replacement):
     """Point every quadgenus module binding of original at replacement."""
     name = original.__name__

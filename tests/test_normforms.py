@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import quadgenus.normforms as normforms
 from quadgenus.arith import Discriminant, DomainError, QuadInt
 from quadgenus.lattice import (
     GenTuple,
@@ -200,6 +201,16 @@ def test_factor_witness_requires_containment():
     x = GenTuple([QuadInt.from_int(2, D23), QuadInt.omega(D23) * 2], D23)
     with pytest.raises(DomainError):
         factor_witness(x, integral_tuple(D23))
+
+
+def test_factor_witness_checks_the_transform(monkeypatch):
+    # the identity does not carry the order's norm form onto (4, 2, 6)
+    monkeypatch.setattr(normforms, "solve_transform", lambda x, y: identity_matrix(2))
+    x = integral_tuple(D23)
+    y = GenTuple([QuadInt.from_int(2, D23), QuadInt(1, -1, D23)], D23)
+    with pytest.raises(AssertionError) as info:
+        factor_witness(x, y)
+    assert str(info.value) == "transform does not carry the norm form"
 
 
 def test_value_containment_on_grid():

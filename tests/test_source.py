@@ -75,8 +75,8 @@ def test_equality_and_hashing_come_from_one_base():
 
 
 def test_bool_is_excluded_by_exact_int_checks():
-    # an integer field is checked as `type(v) is not int`; only the JSON
-    # output keeps booleans apart from the ints they subclass
+    # an integer field is checked as `type(v) is not int`, and no result
+    # holds a bool, so no code tells booleans apart from the ints they subclass
     found = []
     for path in sorted(SRC.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -88,7 +88,7 @@ def test_bool_is_excluded_by_exact_int_checks():
                         and "bool" in ast.unparse(node.args[1])
                     ):
                         found.append(f"{path.stem}.{fn.name}")
-    assert found == ["cli._stringify"]
+    assert found == []
 
 
 def _imported_names(name, module):
@@ -139,6 +139,24 @@ def test_crt_route_makes_no_repair():
     called = set(_calls("forms.py", "compose_crt"))
     assert "composition_b" in called
     assert not called & {"is_concordant", "coprime_equivalent"}
+
+
+def test_the_composite_is_derived_once():
+    # composition_b returns (a3, B); the CRT route and the class-group kernel
+    # unpack both and derive neither e nor a3 again
+    tree = ast.parse((SRC / "forms.py").read_text(), "forms.py")
+    for fn_name in ("compose_crt", "_compose_ab"):
+        fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == fn_name)
+        called = _calls("forms.py", fn_name)
+        assert called.count("composition_b") == 1 and "gcd" not in called, fn_name
+        targets = [
+            node.targets[0]
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign)
+            and getattr(getattr(node.value, "func", None), "id", None) == "composition_b"
+        ]
+        assert len(targets) == 1 and isinstance(targets[0], ast.Tuple), fn_name
+        assert len(targets[0].elts) == 2, fn_name
 
 
 def test_matrix_route_makes_no_repair(monkeypatch):
