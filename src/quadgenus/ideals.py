@@ -1,7 +1,7 @@
 """Proper invertible ideals of a quadratic order in standard basis form.
 
-An ideal is a*Z + ((-b + sqrt(d))/2)*Z with b^2 = d (mod 4a) and
-gcd(a, b, (b^2-d)/(4a)) = 1; its linear polynomial is
+An ideal is a*Z + ((-b + sqrt(d))/2)*Z with c = (b^2-d)/(4a) an integer
+and gcd(a, b, c) = 1 (the ideal keeps c); its linear polynomial is
 a*x1 + ((b - sqrt(d))/2)*x2 (same lattice, fixed sign convention).
 b only matters modulo 2a, so equality compares (a, b mod 2a).
 
@@ -11,7 +11,8 @@ lattice product in ideal_mul and the basis rows it reads off. The module
 also carries the explicit matrix composition pipeline: h moving the order
 onto an ideal, the tau pair moving two ideals onto e times their product
 (e = gcd(a, a', (b + b')/2)), and binary form composition of any pair by one
-substitution of h @ tau1 into the order's norm form, with no repair step.
+upper-triangular substitution, h @ tau1, into the order's norm form, with no
+repair step.
 """
 
 from __future__ import annotations
@@ -36,29 +37,26 @@ __all__ = [
 
 class OrderIdeal(_Value):
     """Standard-basis ideal [a, (-b + sqrt(d))/2] of the order of
-    discriminant d."""
+    discriminant d; c = (b^2 - d)/4a is kept from the validity check."""
 
     # _gens: the generator tuple that gen_tuple builds once and keeps
-    __slots__ = ("a", "b", "disc", "_gens")
+    __slots__ = ("a", "b", "c", "disc", "_gens")
 
     def __init__(self, a: int, b: int, disc: Discriminant):
         if type(a) is not int or type(b) is not int:
             raise DomainError(f"ideal entries must be integers, got [{a!r}, {b!r}]")
         if a <= 0:
             raise DomainError(f"ideal needs a > 0, got {a}")
-        num = b * b - disc.d
-        if num % (4 * a):
+        c, rem = divmod(b * b - disc.d, 4 * a)
+        if rem:
             raise DomainError(f"invalid ideal [{a}, {b}]: b^2 - d not divisible by 4a")
-        if math.gcd(a, b, num // (4 * a)) != 1:
+        if math.gcd(a, b, c) != 1:
             raise DomainError(f"invalid ideal [{a}, {b}]: not proper/invertible")
         self.a = a
         self.b = b
+        self.c = c
         self.disc = disc
         self._gens = None
-
-    @property
-    def c(self) -> int:
-        return (self.b * self.b - self.disc.d) // (4 * self.a)
 
     def gen_tuple(self) -> GenTuple:
         """The linear polynomial a*x1 + ((b - sqrt(d))/2)*x2, built on first
@@ -152,20 +150,19 @@ def compose_via_matrices(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Composition via matrix substitution into the order's norm form.
 
     Multiplies h_alpha @ tau1 = e*[[a*a'/e^2, (B-d)/2], [0, 1]] into
-    ((p, q), (r, s)), writes x -> p*x + q*y, y -> r*x + s*y out on the
-    order's norm form (A, B, C), divides by a*a' (exactly), and reduces.
+    ((p, q), (0, s)), writes x -> p*x + q*y, y -> s*y out on the order's
+    norm form (A, B, C), divides by a*a' (exactly), and reduces.
     """
     _check_same_disc(f.disc, g.disc)
     disc = f.disc
     alpha = form_to_ideal(f)
     beta = form_to_ideal(g)
-    (hp, hq), (hr, hs) = h_alpha(alpha)
-    (tp, tq), (tr, ts) = tau_pair(alpha, beta)[0]
-    p, q = hp * tp + hq * tr, hp * tq + hq * ts
-    r, s = hr * tp + hs * tr, hr * tq + hs * ts
+    (hp, hq), (_, hs) = h_alpha(alpha)
+    (tp, tq), (_, ts) = tau_pair(alpha, beta)[0]
+    p, q, s = hp * tp, hp * tq + hq * ts, hs * ts
     A, B, C = principal_norm_form(disc).binary_triple()
-    x0 = A * p * p + B * p * r + C * r * r
-    x1 = 2 * A * p * q + B * (p * s + q * r) + 2 * C * r * s
+    x0 = A * p * p
+    x1 = (2 * A * q + B * s) * p
     x2 = A * q * q + B * q * s + C * s * s
     aa = f.a * g.a
     if x0 % aa or x1 % aa or x2 % aa:

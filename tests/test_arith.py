@@ -240,6 +240,15 @@ def test_int_interop():
     assert QuadInt.from_int(7, d) == 7
 
 
+def test_arithmetic_with_a_non_integer_raises():
+    # _coerce takes QuadInt and int only; the operators then return
+    # NotImplemented, and Python raises TypeError
+    q = QuadInt.omega(Discriminant(-23))
+    for op in (lambda: q + 1.5, lambda: q - 1.5, lambda: 1.5 - q, lambda: q * 1.5):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_int_valued_equality_is_transitive():
     a = QuadInt.from_int(3, Discriminant(-23))
     b = QuadInt.from_int(3, Discriminant(-4))

@@ -188,6 +188,16 @@ def test_coprime_equivalent():
         checked += 1
 
 
+def test_coprime_equivalent_skips_values_sharing_a_factor():
+    # on the square of radius 1, (2, 1, 3) at d = -23 takes only the values
+    # 2, 3, 4 and 6, each sharing a factor with 6; the scan moves on to 13
+    f = bf(2, 1, 3)
+    g = coprime_equivalent(f, 6)
+    assert g.triple() == (13, -9, 2)
+    assert math.gcd(g.a, 6) == 1
+    assert is_equivalent(f, g)
+
+
 def test_coprime_equivalent_rejects_zero_modulus():
     # only +-1 is coprime to 0, so a zero modulus is refused, even for the
     # principal form, whose leading 1 would pass the gcd test

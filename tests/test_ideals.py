@@ -318,22 +318,6 @@ def test_matrix_route_checks_only_caller_matrices(monkeypatch):
     assert len(calls) == 1
 
 
-def test_matrix_route_expands_the_general_substitution(monkeypatch):
-    # h_alpha @ tau1 always has r = 0; a unimodular u on the right makes r
-    # non-zero and keeps the class, so every term of the written-out 2x2
-    # substitution has to be right
-    original = ideals.tau_pair
-    for u in (((1, 0), (1, 1)), ((2, 1), (-3, -1)), ((0, -1), (1, 5))):
-
-        def skewed(alpha, beta, u=u):
-            tau1, *rest = original(alpha, beta)
-            return (mat_mul(tau1, u), *rest)
-
-        monkeypatch.setattr(ideals, "tau_pair", skewed)
-        for f, g in _every_pair(-84, -23, -76):
-            assert compose_via_matrices(f, g) == compose_crt(f, g), (f, g, u)
-
-
 # pairs whose matrix-route coefficients the skewed h_alpha leaves not
 # divisible by aa': two with e = 1, and two with e = 2 and 3 where
 # aa'/e^2 = 4 (at aa'/e^2 = 1 the skewed corner still gives the right class)

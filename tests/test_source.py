@@ -7,7 +7,7 @@ import quadgenus.forms as forms
 import quadgenus.lattice as lattice
 import quadgenus.normforms as normforms
 from quadgenus.arith import Discriminant
-from quadgenus.ideals import compose_via_matrices
+from quadgenus.ideals import OrderIdeal, compose_via_matrices
 from test_ideals import _rebind
 
 SRC = Path(quadgenus.__file__).parent
@@ -193,6 +193,38 @@ def test_matrix_route_writes_its_substitution_out(monkeypatch):
     assert not set(called) & {"_substitute", "form_action", "mat_mul", "check_matrix"}
     assert _imported_names("ideals.py", "normforms") == {"principal_norm_form"}
     assert _route_calls(monkeypatch, normforms.form_action, lattice.check_matrix) == []
+
+
+def test_an_ideal_keeps_its_c():
+    # the validity check's divmod computes c = (b^2 - d)/4a; the ideal keeps
+    # it in a slot instead of computing it again on each read
+    assert "c" in OrderIdeal.__slots__
+    assert not isinstance(inspect.getattr_static(OrderIdeal, "c"), property)
+
+
+def test_matrix_route_reads_no_lower_left_entry():
+    # h_alpha and tau1 both have 0 in the lower-left corner, so the route
+    # unpacks those entries to _ and writes out no r-term
+    tree = ast.parse((SRC / "ideals.py").read_text(), "ideals.py")
+    fn = next(n for n in tree.body if getattr(n, "name", None) == "compose_via_matrices")
+    lower_left = {}
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Assign):
+            continue
+        value = node.value.value if isinstance(node.value, ast.Subscript) else node.value
+        name = getattr(getattr(value, "func", None), "id", None)
+        if name in ("h_alpha", "tau_pair"):
+            (target,) = node.targets
+            lower_left[name] = target.elts[1].elts[0]
+    assert set(lower_left) == {"h_alpha", "tau_pair"}
+    for name, entry in lower_left.items():
+        assert isinstance(entry, ast.Name) and entry.id == "_", name
+    loads = {
+        node.id
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert "_" not in loads
 
 
 def _generator_sites(name, functions=None):
