@@ -2,11 +2,14 @@
 # Composition of binary quadratic forms by two independent routes, plus the
 # ideal multiplication they both shadow.
 #
-# Route 1 solves the classical congruences B = b (mod 2a), B = b' (mod 2a'),
-# B^2 = d (mod 4aa'). Route 2 never touches the congruences' output form:
-# it moves the order onto the first ideal (h_alpha), moves that ideal onto
-# the product (tau1), pushes the order's own norm form through the composite
-# matrix, and divides by aa'.
+# Route 1 writes B in closed form (Cohen Alg. 5.4.7) and checks it against
+# three linear congruences modulo 2a3, where e = gcd(a, a', s), s = (b + b')/2
+# and a3 = aa'/e^2: (a/e)B = (a/e)b', (a'/e)B = (a'/e)b and
+# (s/e)B = (bb' + d)/(2e). When e = 1 they come to the classical
+# B = b (mod 2a), B = b' (mod 2a'), B^2 = d (mod 4aa'). Route 2 never
+# touches the congruences' output form: it moves the order onto the first
+# ideal (h_alpha), moves that ideal onto the product (tau1), pushes the
+# order's own norm form through the composite matrix, and divides by aa'.
 
 from quadgenus import (
     BinaryForm,

@@ -22,7 +22,6 @@ __all__ = [
     "form_inverse",
     "is_equivalent",
     "compose_crt",
-    "is_concordant",
     "coprime_equivalent",
 ]
 
@@ -132,11 +131,6 @@ def enumerate_reduced(disc: Discriminant) -> list[BinaryForm]:
             if 0 < b < a < c:
                 out.append((a, -b, c))
     return [BinaryForm(a, b, c, disc) for a, b, c in sorted(out)]
-
-
-def is_concordant(f: BinaryForm, g: BinaryForm) -> bool:
-    """gcd(a, a', (b + b')/2) == 1: the pairs whose ideal product is primitive."""
-    return math.gcd(f.a, math.gcd(g.a, (f.b + g.b) // 2)) == 1
 
 
 def coprime_equivalent(g: BinaryForm, n: int) -> BinaryForm:

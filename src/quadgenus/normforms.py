@@ -4,8 +4,9 @@ The norm form of (a_1, ..., a_m) is N(sum a_i z_i), an integral quadratic
 form in m variables: the z_i^2 coefficient is norm(a_i) and the z_i z_j
 coefficient is trace(a_i * conj(a_j)). A matrix h acts by substituting
 z_j -> sum_i h[j][i] z_i, and that action commutes with taking norm forms
-of transformed tuples. form_action, the one substitution here, checks h;
-compose_via_matrices writes its own 2x2 substitution out.
+of transformed tuples. form_action, the one substitution here, checks h and
+substitutes each row of f's triangle once, in O(m^3); compose_via_matrices
+writes its own 2x2 substitution out.
 """
 
 from __future__ import annotations
@@ -106,14 +107,16 @@ def norm_form(x: GenTuple) -> MultiQuadraticForm:
 
 
 def form_action(h, f: MultiQuadraticForm) -> MultiQuadraticForm:
-    """Check h, then substitute z_j -> sum_i h[j][i] z_i into f (h^T A h)."""
+    """Check h, then substitute z_j -> sum_i h[j][i] z_i into f (h^T A h) as
+    sum_i h[i] (x) t[i] with rows t[i] = sum_{j>=i} c[i,j] * h[j], in O(m^3)."""
     rows = check_matrix(h, f.m)
-    out = dict.fromkeys(_keys(f.m), 0)
+    t = [[0] * f.m for _ in rows]
     for (i, j), c in f.coeffs.items():
-        if c:
-            ri, rj = rows[i], rows[j]
-            for k, l in out:
-                out[k, l] += c * (ri[k] * rj[l] + ri[l] * rj[k] if k < l else ri[k] * rj[k])
+        t[i] = [u + c * v for u, v in zip(t[i], rows[j])]
+    out = dict.fromkeys(_keys(f.m), 0)
+    for ri, ti in zip(rows, t):
+        for k, l in out:
+            out[k, l] += ri[k] * ti[l] + ri[l] * ti[k] if k < l else ri[k] * ti[k]
     return MultiQuadraticForm(f.m, out, f.disc)
 
 

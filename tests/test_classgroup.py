@@ -57,6 +57,7 @@ def test_klein_four():
     assert g.structure == [2, 2]
     assert len(two_torsion(g)) == 4
     assert cl_mod_squares(g)[0] == 4
+    assert repr(g) == "ClassGroup(d=-84, h=4, structure=[2, 2])"
 
 
 def test_order_two():

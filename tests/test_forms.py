@@ -13,7 +13,6 @@ from quadgenus.forms import (
     coprime_equivalent,
     enumerate_reduced,
     form_inverse,
-    is_concordant,
     is_equivalent,
     principal_form,
     reduce_form,
@@ -163,12 +162,12 @@ def test_compose_identity():
 
 
 def test_compose_square_and_inverse_pair():
-    f = bf(2, 1, 3)
+    f, g = bf(2, 1, 3), bf(2, -1, 3)
     assert compose_crt(f, f).triple() == (2, -1, 3)
     # the inverse pair is not concordant (gcd(2, 2, 0) = 2); the closed
     # form composes it all the same, with e = 2
-    assert not is_concordant(f, bf(2, -1, 3))
-    assert compose_crt(f, bf(2, -1, 3)).triple() == (1, 1, 6)
+    assert math.gcd(f.a, g.a, (f.b + g.b) // 2) == 2
+    assert compose_crt(f, g).triple() == (1, 1, 6)
 
 
 def test_coprime_equivalent():
@@ -299,6 +298,32 @@ def test_composition_b_checks_its_congruences(monkeypatch):
     with pytest.raises(AssertionError) as info:
         composition_b(2, 1, 2, 1, -23)
     assert str(info.value) == "no composite middle coefficient for (2,1) and (2,1) at d = -23"
+
+
+@pytest.mark.parametrize(
+    "a1,b1,a2,b2,d,composite",
+    [(2, -1, 4, 1, -63, (2, 1)), (4, 1, 2, -1, -63, (2, 1)), (4, -2, 4, -2, -76, (4, 2))],
+    ids=["a1-term", "a2-term", "s-term"],
+)
+def test_composition_b_checks_each_congruence(monkeypatch, a1, b1, a2, b2, d, composite):
+    # e = 2 in each pair. Cofactors of -e from the second xgcd give B = 3, 3
+    # and 6, which only the congruence named by the id rejects; that term,
+    # multiplying by e where it divides, would accept it
+    assert composition_b(a1, b1, a2, b2, d) == composite
+    real = forms_module._xgcd
+    calls = []
+
+    def negated_second(a, b):
+        g, x, y = real(a, b)
+        calls.append(g)
+        return (g, -x, -y) if len(calls) == 2 else (g, x, y)
+
+    monkeypatch.setattr(forms_module, "_xgcd", negated_second)
+    with pytest.raises(AssertionError) as info:
+        composition_b(a1, b1, a2, b2, d)
+    assert str(info.value) == (
+        f"no composite middle coefficient for ({a1},{b1}) and ({a2},{b2}) at d = {d}"
+    )
 
 
 def test_crt_and_ideal_routes_agree_before_reduction():

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import pytest
 
@@ -177,6 +178,21 @@ def test_naturality_random():
         x = _random_tuple(rng, d, m)
         h = tuple(tuple(rng.randrange(-7, 8) for _ in range(m)) for _ in range(m))
         assert form_action(h, norm_form(x)) == norm_form(apply_transform(h, x))
+
+
+def test_naturality_at_the_cli_variable_limit():
+    # 64 variables, the CLI's limit: the O(m^3) substitution takes about 40 ms
+    # on a 2-CPU x86 box with CPython 3.11, where a fold of every coefficient
+    # into every output key, Theta(m^4), took about 1 s
+    rng = random.Random(26)
+    x = _random_tuple(rng, D23, 64)
+    h = tuple(tuple(rng.randrange(-7, 8) for _ in range(64)) for _ in range(64))
+    f = norm_form(x)
+    t0 = time.monotonic()
+    g = form_action(h, f)
+    elapsed = time.monotonic() - t0
+    assert g == norm_form(apply_transform(h, x))
+    assert elapsed < 0.25, f"form_action at m = 64 took {elapsed:.2f}s"
 
 
 def test_factor_witness_identity_and_scaling():

@@ -135,10 +135,10 @@ def _route_calls(monkeypatch, *originals):
 
 def test_crt_route_makes_no_repair():
     # the congruence route composes every pair in one closed form; no route
-    # calls the concordance test or the coprime repair
-    called = set(_calls("forms.py", "compose_crt"))
+    # calls the coprime repair
+    called = _calls("forms.py", "compose_crt")
     assert "composition_b" in called
-    assert not called & {"is_concordant", "coprime_equivalent"}
+    assert "coprime_equivalent" not in called
 
 
 def test_the_composite_is_derived_once():
@@ -162,12 +162,9 @@ def test_the_composite_is_derived_once():
 def test_matrix_route_makes_no_repair(monkeypatch):
     # tau_pair carries e = gcd(a, a', (b+b')/2), so every pair takes one
     # substitution; composition_b is the one composition helper still borrowed
-    assert not set(_calls("ideals.py", "compose_via_matrices")) & {
-        "is_concordant",
-        "coprime_equivalent",
-    }
+    assert "coprime_equivalent" not in _calls("ideals.py", "compose_via_matrices")
     assert _imported_names("ideals.py", "forms") == {"BinaryForm", "composition_b", "reduce_form"}
-    assert _route_calls(monkeypatch, forms.is_concordant, forms.coprime_equivalent) == []
+    assert _route_calls(monkeypatch, forms.coprime_equivalent) == []
 
 
 def test_only_solve_transform_runs_row_operations():

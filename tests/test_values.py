@@ -10,9 +10,16 @@ collapse in a set.
 import pytest
 
 from quadgenus.arith import Discriminant, DomainError, QuadInt
-from quadgenus.forms import BinaryForm
-from quadgenus.ideals import OrderIdeal
-from quadgenus.lattice import GenTuple, hnf_basis
+from quadgenus.forms import BinaryForm, compose_crt, is_equivalent
+from quadgenus.ideals import OrderIdeal, compose_via_matrices, form_to_ideal, ideal_mul, tau_pair
+from quadgenus.lattice import (
+    GenTuple,
+    contains,
+    hnf_basis,
+    module_mul,
+    modules_equal,
+    solve_transform,
+)
 from quadgenus.normforms import MultiQuadraticForm, integral_tuple
 
 D23 = Discriminant(-23)
@@ -210,3 +217,42 @@ def test_public_paths(call, expected):
         assert str(info.value) == str(expected)
     else:
         assert call() == expected
+
+
+# (2,1,3) at d = -23 and (2,1,4) at d = -31: without its check, compose_crt
+# of this pair returns (2,-1,3)
+F23, F31 = BinaryForm(2, 1, 3, D23), BinaryForm(2, 1, 4, Discriminant(-31))
+I23, I31 = form_to_ideal(F23), form_to_ideal(F31)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: compose_crt(F23, F31),
+        lambda: compose_via_matrices(F23, F31),
+        lambda: tau_pair(I23, I31),
+        lambda: ideal_mul(I23, I31),
+        lambda: module_mul(I23.gen_tuple(), I31.gen_tuple()),
+        lambda: contains(I23.gen_tuple(), I31.gen_tuple()),
+        lambda: solve_transform(I23.gen_tuple(), I31.gen_tuple()),
+        lambda: modules_equal(I23.gen_tuple(), I31.gen_tuple()),
+        lambda: is_equivalent(F23, F31),
+        lambda: GenTuple([QuadInt.from_int(2, D23), QuadInt.from_int(2, F31.disc)]),
+    ],
+    ids=[
+        "compose_crt",
+        "compose_via_matrices",
+        "tau_pair",
+        "ideal_mul",
+        "module_mul",
+        "contains",
+        "solve_transform",
+        "modules_equal",
+        "is_equivalent",
+        "GenTuple",
+    ],
+)
+def test_two_values_of_different_discriminants_are_rejected(call):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == "discriminant mismatch: -23 vs -31"
