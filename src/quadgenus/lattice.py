@@ -266,7 +266,6 @@ def modules_equal(x: GenTuple, y: GenTuple) -> bool:
 
 def module_mul(x: GenTuple, y: GenTuple) -> GenTuple:
     """Generator tuple of all pairwise products a_i * b_j (row-major)."""
-    _check_same_disc(x.disc, y.disc)
     return GenTuple([a * b for a in x.coeffs for b in y.coeffs], x.disc)
 
 

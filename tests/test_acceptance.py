@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from quadgenus.arith import Discriminant, QuadInt
+from quadgenus.arith import Discriminant
 from quadgenus.classgroup import cl_mod_squares, class_group, two_torsion
 from quadgenus.forms import compose_crt, enumerate_reduced, principal_form, reduce_form
 from quadgenus.ideals import (
@@ -21,7 +21,7 @@ from quadgenus.ideals import (
     ideal_to_form,
     tau_pair,
 )
-from quadgenus.lattice import GenTuple, apply_transform, mat_mul, solve_transform
+from quadgenus.lattice import apply_transform, mat_mul, solve_transform
 from quadgenus.normforms import (
     form_action,
     norm_form,
@@ -29,53 +29,27 @@ from quadgenus.normforms import (
     represent_from_fo,
 )
 
+from oracles import (
+    count_reduced,
+    discs,
+    distinct_primes,
+    ideal_route,
+    is_fundamental,
+    random_disc,
+    random_tuple,
+)
+
 RANGE_LIMIT = -2000
-
-
-def _squarefree(n):
-    i = 2
-    while i * i <= n:
-        if n % (i * i) == 0:
-            return False
-        i += 1
-    return True
-
-
-def _is_fundamental(d):
-    if d % 4 == 1:
-        return _squarefree(-d)
-    k = d // 4
-    return d % 4 == 0 and k % 4 in (2, 3) and _squarefree(-k)
-
-
-def _distinct_primes(n):
-    n = abs(n)
-    count = 0
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            count += 1
-            while n % i == 0:
-                n //= i
-        i += 1
-    return count + (1 if n > 1 else 0)
 
 
 @pytest.fixture(scope="module")
 def fundamental_discs():
-    return [d for d in range(-3, RANGE_LIMIT - 1, -1) if d % 4 in (0, 1) and _is_fundamental(d)]
+    return [d for d in discs(-RANGE_LIMIT) if is_fundamental(d)]
 
 
 @pytest.fixture(scope="module")
 def groups(fundamental_discs):
     return {d: class_group(Discriminant(d)) for d in fundamental_discs}
-
-
-def _random_valid_disc(rng, lo=3, hi=8000):
-    while True:
-        dv = -rng.randrange(lo, hi)
-        if dv % 4 in (0, 1):
-            return Discriminant(dv)
 
 
 def _random_ideal_from_forms(rng, disc, forms):
@@ -88,7 +62,7 @@ def _random_concordant_pairs(seed, count):
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        disc = _random_valid_disc(rng)
+        disc = random_disc(rng, 8000)
         forms = enumerate_reduced(disc)
         a1 = _random_ideal_from_forms(rng, disc, forms)
         a2 = _random_ideal_from_forms(rng, disc, forms)
@@ -104,15 +78,13 @@ def test_c1_dual_oracle_composition(groups):
     pairs = 0
     for d, g in groups.items():
         forms = g.elements
-        ideals = [form_to_ideal(f) for f in forms]
         h = g.h
         for i in range(h):
             fi = forms[i]
             for j in range(h):
                 crt = compose_crt(fi, forms[j])
                 mat = compose_via_matrices(fi, forms[j])
-                content, prod = ideal_mul(ideals[i], ideals[j])
-                idl = reduce_form(ideal_to_form(prod))[0]
+                idl = ideal_route(fi, forms[j])
                 assert crt == mat == idl, (d, fi.triple(), forms[j].triple())
                 pairs += 1
     elapsed = time.monotonic() - t0
@@ -127,16 +99,15 @@ def test_c1_dual_oracle_non_fundamental():
     not pinned down by B = b1, B = b2 and B^2 = d alone lies at such a d."""
     t0 = time.monotonic()
     pairs = 0
-    for d in range(-3, -1201, -1):
-        if d % 4 not in (0, 1) or _is_fundamental(d):
+    for d in discs(1200):
+        if is_fundamental(d):
             continue
         forms = enumerate_reduced(Discriminant(d))
-        ideals = [form_to_ideal(f) for f in forms]
-        for f, alpha in zip(forms, ideals):
-            for g, beta in zip(forms, ideals):
+        for f in forms:
+            for g in forms:
                 crt = compose_crt(f, g)
                 mat = compose_via_matrices(f, g)
-                idl = reduce_form(ideal_to_form(ideal_mul(alpha, beta)[1]))[0]
+                idl = ideal_route(f, g)
                 assert crt == mat == idl, (d, f.triple(), g.triple())
                 pairs += 1
     elapsed = time.monotonic() - t0
@@ -166,16 +137,9 @@ def test_c3_transform_roundtrip():
     exactly and the norm-form action is natural, 1000 random cases."""
     rng = random.Random(102)
     for _ in range(1000):
-        disc = _random_valid_disc(rng, hi=2000)
+        disc = random_disc(rng, 2000)
         m = rng.choice((2, 3, 4))
-        coeffs = []
-        for _ in range(m):
-            q = rng.randrange(-20, 21)
-            p = rng.randrange(-20, 21)
-            if (p - q * disc.d) % 2:
-                p += 1
-            coeffs.append(QuadInt(p, q, disc))
-        x = GenTuple(coeffs, disc)
+        x = random_tuple(rng, disc, m, 20)
         h = tuple(tuple(rng.randrange(-9, 10) for _ in range(m)) for _ in range(m))
         y = apply_transform(h, x)
         solved = solve_transform(x, y)
@@ -190,19 +154,7 @@ def test_c4_class_numbers():
     known = {-3: 1, -4: 1, -23: 3, -47: 5, -71: 7, -84: 4, -163: 1}
     t0 = time.monotonic()
     for dv, expected in known.items():
-        count = 0
-        amax = math.isqrt(-dv // 3)
-        cmax = (-dv + amax * amax) // 4 + 1
-        for a in range(1, amax + 1):
-            for c in range(a, cmax + 1):
-                for b in range(-a, a + 1):
-                    if b * b - 4 * a * c != dv:
-                        continue
-                    if b < 0 and (abs(b) == a or a == c):
-                        continue
-                    if math.gcd(a, math.gcd(b, c)) == 1:
-                        count += 1
-        assert count == expected, f"oracle disagrees at {dv}"
+        assert count_reduced(dv) == expected, f"oracle disagrees at {dv}"
         assert class_group(Discriminant(dv)).h == expected
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0, f"criterion 4 took {elapsed:.1f}s"
@@ -237,7 +189,7 @@ def test_c6_genus_count(groups):
     t = number of distinct primes dividing d."""
     for d, g in groups.items():
         order, _ = cl_mod_squares(g)
-        assert order == 2 ** (_distinct_primes(d) - 1), f"genus count fails at {d}"
+        assert order == 2 ** (distinct_primes(d) - 1), f"genus count fails at {d}"
         assert order == len(two_torsion(g))
     print(f"\nACCEPT 6 genus count: PASS ({len(groups)} discriminants)")
 
@@ -247,7 +199,7 @@ def test_c7_representation_from_base_form():
     form, and standard bases give exactly [[a, (b-d)/2], [0, 1]]."""
     rng = random.Random(104)
     for _ in range(500):
-        disc = _random_valid_disc(rng)
+        disc = random_disc(rng, 8000)
         forms = enumerate_reduced(disc)
         alpha = _random_ideal_from_forms(rng, disc, forms)
         x = alpha.gen_tuple()

@@ -12,6 +12,8 @@ from quadgenus.arith import (
     factorize,
 )
 
+from oracles import random_quadint
+
 
 def test_discriminant_validation():
     with pytest.raises(DomainError):
@@ -190,14 +192,6 @@ def test_norm_trace_conj_examples():
     assert x.trace() == 1
 
 
-def _random_quadint(rng, disc):
-    q = rng.randrange(-30, 31)
-    p = rng.randrange(-30, 31)
-    if (p - q * disc.d) % 2:
-        p += 1
-    return QuadInt(p, q, disc)
-
-
 def test_ring_properties_random():
     rng = random.Random(3)
     for _ in range(300):
@@ -205,8 +199,8 @@ def test_ring_properties_random():
         if dv % 4 not in (0, 1):
             continue
         d = Discriminant(dv)
-        x = _random_quadint(rng, d)
-        y = _random_quadint(rng, d)
+        x = random_quadint(rng, d, 30)
+        y = random_quadint(rng, d, 30)
         assert (x * y).norm() == x.norm() * y.norm()
         assert (x + y).trace() == x.trace() + y.trace()
         assert x.conjugate().conjugate() == x
@@ -224,7 +218,7 @@ def test_coords_roundtrip():
         if dv % 4 not in (0, 1):
             continue
         d = Discriminant(dv)
-        x = _random_quadint(rng, d)
+        x = random_quadint(rng, d, 30)
         u, v = x.coords()
         assert QuadInt.from_coords(u, v, d) == x
         # explicit meaning: x = u + v*omega

@@ -1,11 +1,7 @@
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -20,7 +16,8 @@ from quadgenus.classgroup import (
     two_torsion,
 )
 from quadgenus.forms import BinaryForm, _compose_ab, compose_crt, enumerate_reduced, form_inverse
-from test_ideals import _big_pairs
+
+from oracles import big_pairs, discs, distinct_primes, is_fundamental, recorder, run_child
 
 
 def _crt_table(g):
@@ -79,44 +76,11 @@ def test_known_structures():
     assert class_group(Discriminant(-5460)).structure == [2, 2, 2, 2]
 
 
-def _is_fundamental(d):
-    if d % 4 == 1:
-        return _squarefree(-d)
-    if d % 4 == 0:
-        k = d // 4
-        return k % 4 in (2, 3) and _squarefree(-k)
-    return False
-
-
-def _squarefree(n):
-    i = 2
-    while i * i <= n:
-        if n % (i * i) == 0:
-            return False
-        i += 1
-    return True
-
-
-def _distinct_primes(n):
-    n = abs(n)
-    out = set()
-    i = 2
-    while i * i <= n:
-        while n % i == 0:
-            out.add(i)
-            n //= i
-        i += 1
-    if n > 1:
-        out.add(n)
-    return len(out)
-
-
 def test_structure_matches_order_statistics():
     # independent oracle: the multiset of element orders of the group
     # determined by the invariant factors must match the table
     rng = random.Random(50)
-    discs = [dv for dv in range(-3, -600, -1) if dv % 4 in (0, 1)]
-    for dv in rng.sample(discs, 60):
+    for dv in rng.sample(discs(599), 60):
         g = class_group(Discriminant(dv))
         table = _crt_table(g)
         # table orders
@@ -135,12 +99,12 @@ def test_structure_matches_order_statistics():
 
 
 def test_genus_count_small_range():
-    for dv in range(-3, -500, -1):
-        if dv % 4 not in (0, 1) or not _is_fundamental(dv):
+    for dv in discs(499):
+        if not is_fundamental(dv):
             continue
         g = class_group(Discriminant(dv))
         order, _ = cl_mod_squares(g)
-        assert order == 2 ** (_distinct_primes(dv) - 1)
+        assert order == 2 ** (distinct_primes(dv) - 1)
         assert order == genus_count_from_factorization(g.disc)
 
 
@@ -148,10 +112,9 @@ def test_genus_count_every_discriminant():
     # 2**(mu-1) for non-fundamental d too: d = -12 has one genus, d = -32 two
     assert genus_count_from_factorization(Discriminant(-12)) == 1
     assert genus_count_from_factorization(Discriminant(-32)) == 2
-    for dv in range(-3, -4001, -1):
-        if dv % 4 in (0, 1):
-            g = class_group(Discriminant(dv))
-            assert genus_count_from_factorization(g.disc) == cl_mod_squares(g)[0], dv
+    for dv in discs(4000):
+        g = class_group(Discriminant(dv))
+        assert genus_count_from_factorization(g.disc) == cl_mod_squares(g)[0], dv
 
 
 def test_genus_count_of_a_strong_pseudoprime_discriminant():
@@ -160,9 +123,7 @@ def test_genus_count_of_a_strong_pseudoprime_discriminant():
 
 
 def test_two_torsion_equals_genus_order():
-    for dv in range(-3, -400, -1):
-        if dv % 4 not in (0, 1):
-            continue
+    for dv in discs(399):
         g = class_group(Discriminant(dv))
         assert len(two_torsion(g)) == cl_mod_squares(g)[0]
 
@@ -195,8 +156,8 @@ def test_dirichlet_class_number_formula():
                 spf[k] = p
     t0 = time.monotonic()
     checked = 0
-    for d in range(-3, -limit - 1, -1):
-        if not _is_fundamental(d):
+    for d in discs(limit):
+        if not is_fundamental(d):
             continue
         w = {-3: 6, -4: 4}.get(d, 2)
         total = sum(c * a for a, c in enumerate(_kronecker_symbols(d, spf[: 1 - d])))
@@ -290,39 +251,39 @@ def _table_cl_mod_squares(g, t):
     return len(reps), reps
 
 
-def test_generator_extension_matches_cayley_table():
+@pytest.fixture(scope="module")
+def crt_tables():
+    """(class_group(d), _crt_table of it) for every d in [-2000, -3], built
+    once for the sweeps that only read them."""
+    groups = [class_group(Discriminant(dv)) for dv in discs(2000)]
+    return [(g, _crt_table(g)) for g in groups]
+
+
+def test_generator_extension_matches_cayley_table(crt_tables):
     # -4980 is the first d with five generators, -5460 has Cl = (Z/2)^4
-    for dv in [dv for dv in range(-3, -2001, -1) if dv % 4 in (0, 1)] + [-4980, -5460]:
-        g = class_group(Discriminant(dv))
-        t = _crt_table(g)
+    wide = [class_group(Discriminant(dv)) for dv in (-4980, -5460)]
+    for g, t in crt_tables + [(g, _crt_table(g)) for g in wide]:
+        dv = g.disc.d
         assert g.structure == _invariant_factors(t, 0), dv
         assert two_torsion(g) == _table_two_torsion(g, t), dv
         assert cl_mod_squares(g) == _table_cl_mod_squares(g, t), dv
 
 
-def test_table_matches_compose_crt():
-    for dv in range(-3, -2001, -1):
-        if dv % 4 in (0, 1):
-            g = class_group(Discriminant(dv))
-            assert g.table == _crt_table(g), dv
+def test_table_matches_compose_crt(crt_tables):
+    for g, t in crt_tables:
+        assert g.table == t, g.disc.d
 
 
 def test_squares_quotient_reduces_each_generator_once(monkeypatch):
     # reduction mod the GF(2) basis is linear: one call per relation row and
     # one per generator's unit vector, however many classes there are
-    calls = []
-    mod2 = classgroup._mod2
-
-    def counted(vector, basis):
-        calls.append(1)
-        return mod2(vector, basis)
-
+    counted = recorder(classgroup._mod2)
     monkeypatch.setattr(classgroup, "_mod2", counted)
     for dv in (-5460, -4000003):
         g = class_group(Discriminant(dv))
-        calls.clear()
+        counted.calls.clear()
         cl_mod_squares(g)
-        assert len(calls) <= 2 * len(g.relations), dv
+        assert len(counted.calls) <= 2 * len(g.relations), dv
 
 
 def test_exponent_vectors_compose_like_the_table():
@@ -383,13 +344,8 @@ def test_smith_invariants():
 def test_class_group_composes_about_h_times(monkeypatch):
     # the generator loop and the table both compose with the integer
     # kernel, counted through its classgroup binding
-    calls = []
-    kernel = classgroup._compose_ab
-
-    def counted(a1, b1, a2, b2, d):
-        calls.append(1)
-        return kernel(a1, b1, a2, b2, d)
-
+    counted = recorder(classgroup._compose_ab)
+    calls = counted.calls
     monkeypatch.setattr(classgroup, "_compose_ab", counted)
     for dv in (-4000003, -4, -23, -84, -455, -30011, -5460):
         calls.clear()
@@ -402,22 +358,18 @@ def test_class_group_composes_about_h_times(monkeypatch):
     assert len(g.table) == g.h and len(calls) == g.h * (g.h + 1) // 2
     calls.clear()
     # about half the classes are composed, the rest are inverses
-    total_h = 0
-    for dv in range(-3, -6001, -1):
-        if dv % 4 in (0, 1):
-            total_h += class_group(Discriminant(dv)).h
+    total_h = sum(class_group(Discriminant(dv)).h for dv in discs(6000))
     assert 0 < len(calls) <= 0.55 * total_h
 
 
-def test_kernel_matches_compose_crt_on_every_pair():
+def test_kernel_matches_compose_crt_on_every_pair(crt_tables):
+    # the table entry is the index of compose_crt(f, k) among the elements
     pairs = 0
-    for dv in range(-3, -2001, -1):
-        if dv % 4 not in (0, 1):
-            continue
-        forms = enumerate_reduced(Discriminant(dv))
-        for f in forms:
-            for g in forms:
-                assert _compose_ab(f.a, f.b, g.a, g.b, dv) == compose_crt(f, g).triple(), (f, g)
+    for g, t in crt_tables:
+        elements, dv = g.elements, g.disc.d
+        for f, row in zip(elements, t):
+            for k, j in zip(elements, row):
+                assert _compose_ab(f.a, f.b, k.a, k.b, dv) == elements[j].triple(), (f, k)
                 pairs += 1
     assert pairs == 240907
 
@@ -425,7 +377,7 @@ def test_kernel_matches_compose_crt_on_every_pair():
 def test_kernel_matches_compose_crt_at_large_discriminants():
     # squares, cubes and inverse pairs at 20, 50 and 200 digits
     wide = 0
-    for f, g in _big_pairs():
+    for f, g in big_pairs():
         assert _compose_ab(f.a, f.b, g.a, g.b, f.disc.d) == compose_crt(f, g).triple(), (f, g)
         wide += math.gcd(f.a, g.a, (f.b + g.b) // 2) > 1
     assert wide > 0
@@ -456,10 +408,7 @@ def test_kernel_checks_that_the_composite_is_exact_under_O():
         "except AssertionError as exc:",
         "    print(exc)",
     ])
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
-    )
+    proc = run_child("-O", "-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == _INEXACT + "\n"
 
@@ -467,17 +416,11 @@ def test_kernel_checks_that_the_composite_is_exact_under_O():
 @pytest.mark.parametrize("dv", [-84, -5460, -30011])
 def test_generator_loop_builds_no_forms(monkeypatch, dv):
     # the enumeration builds h forms and the principal-form check one more
-    built = []
-    init = BinaryForm.__init__
-
-    def counted(self, *args):
-        built.append(1)
-        init(self, *args)
-
     disc = Discriminant(dv)
+    counted = recorder(BinaryForm.__init__)
     monkeypatch.setattr(BinaryForm, "__init__", counted)
     g = class_group(disc)
-    assert g.h > 1 and len(built) == g.h + 1
+    assert g.h > 1 and len(counted.calls) == g.h + 1
 
 
 # --- the coset-by-composition loop --------------------------------------------
@@ -527,7 +470,7 @@ def _class_group_by_composition(disc):
 
 
 def test_inversion_matches_composition_loop():
-    for dv in [dv for dv in range(-3, -6001, -1) if dv % 4 in (0, 1)] + [-4000003]:
+    for dv in discs(6000) + [-4000003]:
         g = class_group(Discriminant(dv))
         assert (g.elements, g.coords, g.relations, g.structure) == \
             _class_group_by_composition(g.disc), dv
@@ -660,9 +603,6 @@ def test_tampered_group_fails_its_invariant_check_under_O():
         "except AssertionError as exc:",
         "    print(exc)",
     ])
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
-    )
+    proc = run_child("-O", "-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "squares quotient disagrees with the invariant factors\n"

@@ -1,6 +1,5 @@
 import json
 import os
-import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -9,6 +8,8 @@ import pytest
 
 from quadgenus.cli import main
 from quadgenus.forms import principal_form
+
+from oracles import run_child
 
 # Every subcommand in text and JSON format plus some error cases, each with
 # its exact exit code, stdout and stderr.
@@ -448,12 +449,6 @@ def test_runs_without_a_digit_limit_to_lift(capsys, monkeypatch):
     assert run_cli(capsys, "compose", "-d", "-23", "(2,1,3)", "(2,1,3)") == (0, "(2,-1,3)\n", "")
 
 
-def run_child(*args):
-    """`python *args` in a child that runs the checkout's package, installed or not."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
-
-
 def test_console_entry_point():
     proc = run_child("-m", "quadgenus", "compose", "-d", "-23", "(2,1,3)", "(2,1,3)")
     assert proc.returncode == 0
@@ -468,12 +463,10 @@ def test_console_entry_point():
 def run_closed(stream, argv):
     """`python -m quadgenus *argv` with stream ("stdout" or "stderr") a pipe
     whose reader has gone; the other stream is captured."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     r, w = os.pipe()
     os.close(r)
-    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: w}
     try:
-        return subprocess.run([sys.executable, "-m", "quadgenus", *argv], **pipes, env=env, timeout=60)
+        return run_child("-m", "quadgenus", *argv, text=False, timeout=60, **{stream: w})
     finally:
         os.close(w)
 

@@ -1,9 +1,8 @@
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from oracles import run_child
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -11,8 +10,5 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = run_child(str(demo), timeout=60)
     assert proc.returncode == 0, proc.stderr

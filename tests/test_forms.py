@@ -18,7 +18,10 @@ from quadgenus.forms import (
     reduce_form,
 )
 from quadgenus.ideals import compose_via_matrices, form_to_ideal, ideal_mul, ideal_to_form
+from quadgenus.lattice import mat_mul
 from quadgenus.normforms import MultiQuadraticForm, form_action
+
+from oracles import count_reduced, discs, every_pair, form_near_sqrt, ideal_route, random_disc
 
 D23 = Discriminant(-23)
 
@@ -47,17 +50,9 @@ def test_reduce_witness_is_unimodular_and_exact():
     rng = random.Random(30)
     checked = 0
     while checked < 150:
-        dv = -rng.randrange(3, 2000)
-        if dv % 4 not in (0, 1):
-            continue
-        d = Discriminant(dv)
-        fs = enumerate_reduced(d)
-        if not fs:
-            continue
-        f = rng.choice(fs)
+        d = random_disc(rng, 2000)
+        f = rng.choice(enumerate_reduced(d))
         # unreduce by a random substitution of determinant 1
-        from quadgenus.lattice import mat_mul
-
         g = mat_mul(((1, rng.randrange(-5, 6)), (0, 1)), ((1, 0), (rng.randrange(-5, 6), 1)))
         mf = MultiQuadraticForm.from_binary_triple(*f.triple(), d)
         messy_triple = form_action(g, mf).binary_triple()
@@ -84,30 +79,9 @@ def test_enumerate_examples():
     ]
 
 
-def _count_reduced_bruteforce(d):
-    # independent oracle: scan the whole (a, b, c) box and test the
-    # discriminant equation directly
-    count = 0
-    amax = math.isqrt(-d // 3)
-    cmax = (-d + amax * amax) // 4 + 1
-    for a in range(1, amax + 1):
-        for c in range(a, cmax + 1):
-            for b in range(-a, a + 1):
-                if b * b - 4 * a * c != d:
-                    continue
-                if b < 0 and (abs(b) == a or a == c):
-                    continue
-                if math.gcd(a, b, c) == 1:
-                    count += 1
-    return count
-
-
 def test_class_number_against_bruteforce():
-    for dv in range(-3, -300, -1):
-        if dv % 4 not in (0, 1):
-            continue
-        d = Discriminant(dv)
-        assert len(enumerate_reduced(d)) == _count_reduced_bruteforce(dv)
+    for dv in discs(299):
+        assert len(enumerate_reduced(Discriminant(dv))) == count_reduced(dv)
 
 
 def _enumerate_reduced_scan(disc):
@@ -132,9 +106,7 @@ def _enumerate_reduced_scan(disc):
 
 
 def test_enumerate_matches_ab_scan():
-    for dv in range(-3, -6001, -1):
-        if dv % 4 not in (0, 1):
-            continue
+    for dv in discs(6000):
         d = Discriminant(dv)
         assert [f.triple() for f in enumerate_reduced(d)] == _enumerate_reduced_scan(d), dv
 
@@ -174,12 +146,7 @@ def test_coprime_equivalent():
     rng = random.Random(31)
     checked = 0
     while checked < 80:
-        dv = -rng.randrange(3, 3000)
-        if dv % 4 not in (0, 1):
-            continue
-        d = Discriminant(dv)
-        fs = enumerate_reduced(d)
-        f = rng.choice(fs)
+        f = rng.choice(enumerate_reduced(random_disc(rng, 3000)))
         n = rng.randrange(2, 10**6)
         g = coprime_equivalent(f, n)
         assert math.gcd(g.a, n) == 1
@@ -206,9 +173,7 @@ def test_coprime_equivalent_rejects_zero_modulus():
 
 
 def test_group_laws_small_range():
-    for dv in range(-3, -300, -1):
-        if dv % 4 not in (0, 1):
-            continue
+    for dv in discs(299):
         d = Discriminant(dv)
         forms = enumerate_reduced(d)
         index = {f.triple() for f in forms}
@@ -226,21 +191,12 @@ def test_group_laws_small_range():
 
 
 def test_crt_matches_ideal_route_random():
-    from quadgenus.forms import reduce_form as rf
-    from quadgenus.ideals import form_to_ideal, ideal_mul, ideal_to_form
-
     rng = random.Random(32)
     checked = 0
     while checked < 200:
-        dv = -rng.randrange(3, 5000)
-        if dv % 4 not in (0, 1):
-            continue
-        d = Discriminant(dv)
-        forms = enumerate_reduced(d)
+        forms = enumerate_reduced(random_disc(rng, 5000))
         f, g = rng.choice(forms), rng.choice(forms)
-        crt = compose_crt(f, g)
-        _, prod = ideal_mul(form_to_ideal(f), form_to_ideal(g))
-        assert crt == rf(ideal_to_form(prod))[0]
+        assert compose_crt(f, g) == ideal_route(f, g)
         checked += 1
 
 
@@ -265,16 +221,12 @@ def _composition_b_by_search(a1, b1, a2, b2, d):
 
 def test_composition_b_matches_search():
     pairs = 0
-    for dv in range(-3, -2001, -1):
-        if dv % 4 not in (0, 1):
-            continue
-        forms = enumerate_reduced(Discriminant(dv))
-        for f in forms:
-            for g in forms:
-                e = math.gcd(f.a, g.a, (f.b + g.b) // 2)
-                expected = f.a * g.a // (e * e), _composition_b_by_search(f.a, f.b, g.a, g.b, dv)
-                assert composition_b(f.a, f.b, g.a, g.b, dv) == expected, (dv, f, g)
-                pairs += 1
+    for f, g in every_pair(discs(2000)):
+        dv = f.disc.d
+        e = math.gcd(f.a, g.a, (f.b + g.b) // 2)
+        expected = f.a * g.a // (e * e), _composition_b_by_search(f.a, f.b, g.a, g.b, dv)
+        assert composition_b(f.a, f.b, g.a, g.b, dv) == expected, (dv, f, g)
+        pairs += 1
     assert pairs == 240907
 
 
@@ -330,48 +282,31 @@ def test_crt_and_ideal_routes_agree_before_reduction():
     # every ordered pair, concordant or not: ideal_mul's content is e and its
     # ideal is the CRT composite (a*a'/e^2, B, (B^2 - d)/(4*a*a'/e^2))
     pairs = 0
-    for dv in range(-3, -1001, -1):
-        if dv % 4 not in (0, 1):
-            continue
-        forms = enumerate_reduced(Discriminant(dv))
-        for f in forms:
-            for g in forms:
-                e = math.gcd(f.a, g.a, (f.b + g.b) // 2)
-                a3, bb = composition_b(f.a, f.b, g.a, g.b, dv)
-                content, prod = ideal_mul(form_to_ideal(f), form_to_ideal(g))
-                assert content == e, (dv, f, g)
-                assert ideal_to_form(prod).triple() == (a3, bb, (bb * bb - dv) // (4 * a3))
-                pairs += 1
+    for f, g in every_pair(discs(1000)):
+        dv = f.disc.d
+        e = math.gcd(f.a, g.a, (f.b + g.b) // 2)
+        a3, bb = composition_b(f.a, f.b, g.a, g.b, dv)
+        content, prod = ideal_mul(form_to_ideal(f), form_to_ideal(g))
+        assert content == e, (dv, f, g)
+        assert ideal_to_form(prod).triple() == (a3, bb, (bb * bb - dv) // (4 * a3))
+        pairs += 1
     assert pairs > 50000
-
-
-def _form_near_sqrt(digits, rng):
-    # a, c close to sqrt(|d|/4), so |d| = 4ac - b^2 has the given length
-    a = math.isqrt(10**digits // 8) + rng.randrange(10**6)
-    while True:
-        c = a + rng.randrange(1, 10**6)
-        b = rng.randrange(-a + 1, a + 1)
-        if math.gcd(a, b, c) == 1:
-            d = Discriminant(b * b - 4 * a * c)
-            assert len(str(-d.d)) == digits
-            return BinaryForm(a, b, c, d)
 
 
 @pytest.mark.parametrize("digits", [50, 200])
 def test_large_discriminant_composition(digits):
     t0 = time.monotonic()
     rng = random.Random(digits)
-    f = _form_near_sqrt(digits, rng)
+    f = form_near_sqrt(rng, digits)
     d = f.disc
     f2 = compose_crt(f, f)
     f3 = compose_crt(f2, f)
     assert compose_crt(f3, form_inverse(f3)) == principal_form(d)
     assert compose_crt(form_inverse(f2), f3) == reduce_form(f)[0]
     for g, h in ((f, f), (f2, f), (f3, form_inverse(f))):
-        _, prod = ideal_mul(form_to_ideal(g), form_to_ideal(h))
         crt = compose_crt(g, h)
         assert compose_via_matrices(g, h) == crt
-        assert reduce_form(ideal_to_form(prod))[0] == crt
+        assert ideal_route(g, h) == crt
     # unreduce by a large determinant-1 substitution, then reduce back
     k1, k2 = rng.randrange(-10**20, 10**20), rng.randrange(-10**20, 10**20)
     g = ((1 + k1 * k2, k1), (k2, 1))

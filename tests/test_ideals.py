@@ -1,10 +1,6 @@
 import inspect
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -16,7 +12,6 @@ from quadgenus.forms import (
     BinaryForm,
     compose_crt,
     enumerate_reduced,
-    form_inverse,
     is_equivalent,
     principal_form,
     reduce_form,
@@ -32,6 +27,17 @@ from quadgenus.ideals import (
 )
 from quadgenus.lattice import GenTuple, apply_transform, hnf_basis, mat_mul, module_mul
 from quadgenus.normforms import form_action, integral_tuple, principal_norm_form
+
+from oracles import (
+    big_pairs,
+    discs,
+    every_pair,
+    ideal_route,
+    random_disc,
+    rebind,
+    recorder,
+    run_child,
+)
 
 D23 = Discriminant(-23)
 
@@ -66,23 +72,17 @@ def test_ideal_to_form_examples():
 
 
 def _counted_init(monkeypatch, cls):
-    """The argument tuples of every cls.__init__ call from now on."""
-    calls = []
-    original = cls.__init__
-
-    def counted(self, *args):
-        calls.append(args)
-        original(self, *args)
-
+    """The argument tuples, self first, of every cls.__init__ call from now on."""
+    counted = recorder(cls.__init__)
     monkeypatch.setattr(cls, "__init__", counted)
-    return calls
+    return counted.calls
 
 
 def test_form_keeps_its_ideal(monkeypatch):
     f = BinaryForm(4, 5, 3, D23)
     calls = _counted_init(monkeypatch, OrderIdeal)
     ideals_seen = [form_to_ideal(f) for _ in range(3)]
-    assert calls == [(4, 5, D23)]
+    assert [args[1:] for args in calls] == [(4, 5, D23)]
     assert ideals_seen[0] is ideals_seen[1] is ideals_seen[2]
 
 
@@ -106,17 +106,12 @@ def test_kept_ideal_and_tuple_are_not_part_of_the_value():
     assert (str(alpha), repr(alpha)) == (str(plain), repr(plain))
 
 
-def _random_ideal(rng, maxd=5000):
-    while True:
-        dv = -rng.randrange(3, maxd)
-        if dv % 4 not in (0, 1):
-            continue
-        d = Discriminant(dv)
-        forms = enumerate_reduced(d)
-        f = rng.choice(forms)
-        # shift b by a multiple of 2a: same ideal, different presentation
-        k = rng.randrange(-4, 5)
-        return OrderIdeal(f.a, f.b + 2 * k * f.a, d)
+def _random_ideal(rng):
+    d = random_disc(rng, 5000)
+    f = rng.choice(enumerate_reduced(d))
+    # shift b by a multiple of 2a: same ideal, different presentation
+    k = rng.randrange(-4, 5)
+    return OrderIdeal(f.a, f.b + 2 * k * f.a, d)
 
 
 def test_dictionary_roundtrips_random():
@@ -151,8 +146,6 @@ def test_ideal_mul_examples():
 
 
 def test_norm_multiplicativity_concordant():
-    import math
-
     rng = random.Random(42)
     checked = 0
     while checked < 200:
@@ -259,62 +252,39 @@ def test_ideal_mul_checks_the_product_basis(monkeypatch, rows, message):
     assert str(info.value) == message
 
 
-def _rebind(monkeypatch, original, replacement):
-    """Point every quadgenus module binding of original at replacement."""
-    name = original.__name__
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "quadgenus" and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, replacement)
-
-
 def _forbid_norm_form(monkeypatch):
     """Make norm_form raise through every module binding of it."""
 
     def broken(x):
         raise RuntimeError("norm_form called")
 
-    _rebind(monkeypatch, normforms.norm_form, broken)
-
-
-def _every_pair(*dvs):
-    for dv in dvs:
-        forms = enumerate_reduced(Discriminant(dv))
-        for f in forms:
-            for g in forms:
-                yield f, g
+    rebind(monkeypatch, normforms.norm_form, broken)
 
 
 def test_compose_via_matrices_needs_no_norm_form_expansion(monkeypatch):
     # the matrix route writes the order's norm form down; it expands none
     _forbid_norm_form(monkeypatch)
-    for f, g in _every_pair(-84, -23):
+    for f, g in every_pair((-84, -23)):
         assert compose_via_matrices(f, g) == compose_crt(f, g)
 
 
 def test_ideal_route_needs_no_norm_form_expansion(monkeypatch):
     # ideal_to_form writes the form down, so the ideal route is ideal_mul's HNF
     _forbid_norm_form(monkeypatch)
-    for f, g in _every_pair(-84, -23):
-        _, prod = ideal_mul(form_to_ideal(f), form_to_ideal(g))
-        assert reduce_form(ideal_to_form(prod))[0] == compose_crt(f, g)
+    for f, g in every_pair((-84, -23)):
+        assert ideal_route(f, g) == compose_crt(f, g)
 
 
 def test_matrix_route_checks_only_caller_matrices(monkeypatch):
     # h_alpha and tau1 are built from validated ints and substituted
     # unchecked; the public form_action checks its caller's matrix once
-    calls = []
-    original = lattice.check_matrix
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    _rebind(monkeypatch, original, counted)
-    for f, g in _every_pair(-84, -23):
+    counted = recorder(lattice.check_matrix)
+    rebind(monkeypatch, lattice.check_matrix, counted)
+    for f, g in every_pair((-84, -23)):
         assert compose_via_matrices(f, g) == compose_crt(f, g)
-    assert calls == []
+    assert counted.calls == []
     form_action(h_alpha(OrderIdeal(2, 1, D23)), principal_norm_form(D23))
-    assert len(calls) == 1
+    assert len(counted.calls) == 1
 
 
 # pairs whose matrix-route coefficients the skewed h_alpha leaves not
@@ -355,10 +325,7 @@ def test_wrong_internal_matrix_fails_the_divisibility_check_under_O():
         "    except AssertionError as exc:",
         "        print(exc)",
     ])
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
-    )
+    proc = run_child("-O", "-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "matrix composition not divisible by aa'\n" * len(_SKEWED_PAIRS)
 
@@ -377,11 +344,7 @@ def test_compose_routes_agree_random():
     rng = random.Random(46)
     checked = 0
     while checked < 250:
-        dv = -rng.randrange(3, 5000)
-        if dv % 4 not in (0, 1):
-            continue
-        d = Discriminant(dv)
-        forms = enumerate_reduced(d)
+        forms = enumerate_reduced(random_disc(rng, 5000))
         f, g = rng.choice(forms), rng.choice(forms)
         assert compose_via_matrices(f, g) == compose_crt(f, g)
         checked += 1
@@ -392,11 +355,7 @@ def test_commuting_square_random():
     rng = random.Random(47)
     checked = 0
     while checked < 200:
-        dv = -rng.randrange(3, 3000)
-        if dv % 4 not in (0, 1):
-            continue
-        d = Discriminant(dv)
-        forms = enumerate_reduced(d)
+        forms = enumerate_reduced(random_disc(rng, 3000))
         f, g = rng.choice(forms), rng.choice(forms)
         _, prod = ideal_mul(form_to_ideal(f), form_to_ideal(g))
         assert is_equivalent(ideal_to_form(prod), compose_crt(f, g))
@@ -425,56 +384,20 @@ def _basis_ideal_mul(alpha, beta):
     return v, a, (2 * (u // v) + alpha.disc.d) % (2 * a)
 
 
-def _every_pair_up_to(bound):
-    return _every_pair(*(dv for dv in range(-3, -bound - 1, -1) if dv % 4 in (0, 1)))
-
-
-def _forms_at_digits(digits, rng):
-    """A form f at a d of the given length, with f^2, f^3, their inverses
-    and the principal form: every ordered pair includes squares and inverses."""
-    a = math.isqrt(10**digits // 8) + rng.randrange(10**6)
-    while True:
-        c = a + rng.randrange(1, 10**6)
-        b = rng.randrange(-a + 1, a + 1)
-        if math.gcd(a, b, c) == 1:
-            break
-    f = reduce_form(BinaryForm(a, b, c, Discriminant(b * b - 4 * a * c)))[0]
-    assert len(str(-f.disc.d)) == digits
-    f2 = compose_crt(f, f)
-    f3 = compose_crt(f2, f)
-    powers = (f, f2, f3)
-    return powers + tuple(form_inverse(h) for h in powers) + (principal_form(f.disc),)
-
-
-def _big_pairs():
-    rng = random.Random(15)
-    for digits in (20, 50, 200):
-        for _ in range(2):
-            forms = _forms_at_digits(digits, rng)
-            for f in forms:
-                for g in forms:
-                    yield f, g
-
-
 def _route_triples(monkeypatch, pairs):
     """(f, g, the route's unreduced triple, the two-step triple) per pair."""
-    raw = []
-
-    def recording(form):
-        raw.append(form.triple())
-        return reduce_form(form)
-
-    monkeypatch.setattr(ideals, "reduce_form", recording)
+    reduced = recorder(reduce_form)
+    monkeypatch.setattr(ideals, "reduce_form", reduced)
     for f, g in pairs:
         compose_via_matrices(f, g)
-        yield f, g, raw.pop(), _two_step_triple(f, g)
+        yield f, g, reduced.calls.pop()[0].triple(), _two_step_triple(f, g)
 
 
 def test_one_substitution_matches_two_steps(monkeypatch):
     # h_alpha @ tau1 substituted once gives the unreduced triple of h_alpha
     # and tau1 substituted in turn, on every ordered pair, e > 1 ones too
     wide = checked = 0
-    for f, g, one, two in _route_triples(monkeypatch, _every_pair_up_to(1200)):
+    for f, g, one, two in _route_triples(monkeypatch, every_pair(discs(1200))):
         assert one == two, (f, g)
         wide += math.gcd(f.a, g.a, (f.b + g.b) // 2) > 1
         checked += 1
@@ -482,24 +405,19 @@ def test_one_substitution_matches_two_steps(monkeypatch):
 
 
 def test_one_substitution_matches_two_steps_at_large_d(monkeypatch):
-    pairs = list(_big_pairs())
+    pairs = list(big_pairs())
     assert any(math.gcd(f.a, g.a, (f.b + g.b) // 2) > 1 for f, g in pairs)
-    calls = []
-
-    def counted(h, f, original=form_action):
-        calls.append(h)
-        return original(h, f)
-
-    monkeypatch.setattr(sys.modules[__name__], "form_action", counted)
+    counted = recorder(form_action)
+    monkeypatch.setitem(globals(), "form_action", counted)
     for f, g, one, two in _route_triples(monkeypatch, pairs):
         assert one == two, (f, g)
     # the oracle runs on the public, checked form_action: two calls a pair
-    assert len(calls) == 2 * len(pairs)
+    assert len(counted.calls) == 2 * len(pairs)
 
 
 def test_ideal_mul_matches_basis_oracle():
     checked = 0
-    for f, g in _every_pair_up_to(1000):
+    for f, g in every_pair(discs(1000)):
         alpha, beta = form_to_ideal(f), form_to_ideal(g)
         content, prod = ideal_mul(alpha, beta)
         assert (content, prod.a, prod.b) == _basis_ideal_mul(alpha, beta), (f, g)
@@ -508,7 +426,7 @@ def test_ideal_mul_matches_basis_oracle():
 
 
 def test_ideal_mul_matches_basis_oracle_at_large_d():
-    for f, g in _big_pairs():
+    for f, g in big_pairs():
         alpha, beta = form_to_ideal(f), form_to_ideal(g)
         content, prod = ideal_mul(alpha, beta)
         assert (content, prod.a, prod.b) == _basis_ideal_mul(alpha, beta)

@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 import sympy
@@ -21,6 +20,8 @@ from quadgenus.lattice import (
     solve_transform,
 )
 from quadgenus.normforms import form_action, principal_norm_form
+
+from oracles import discs, random_disc, random_tuple, rebind, recorder
 
 D23 = Discriminant(-23)
 
@@ -79,29 +80,11 @@ def test_hnf_rank_deficient():
     assert b.coord_rows() == ((24, 2),)
 
 
-def _random_tuple(rng, d, m, bound=20):
-    coeffs = []
-    for _ in range(m):
-        q = rng.randrange(-bound, bound + 1)
-        p = rng.randrange(-bound, bound + 1)
-        if (p - q * d.d) % 2:
-            p += 1
-        coeffs.append(QuadInt(p, q, d))
-    return GenTuple(coeffs, d)
-
-
-def _random_disc(rng, lo=3, hi=500):
-    while True:
-        dv = -rng.randrange(lo, hi)
-        if dv % 4 in (0, 1):
-            return Discriminant(dv)
-
-
 def test_hnf_against_sympy():
     rng = random.Random(5)
     for _ in range(150):
-        d = _random_disc(rng)
-        x = _random_tuple(rng, d, rng.randrange(1, 5))
+        d = random_disc(rng, 500)
+        x = random_tuple(rng, d, rng.randrange(1, 5), 20)
         b = hnf_basis(x)
         cols = sympy.Matrix([list(c) for c in x.coords()]).T
         if b.rank < 2:
@@ -117,49 +100,40 @@ def test_only_solve_transform_carries_provenance(monkeypatch):
     # hnf_basis, contains and the ideal product take the closed form on
     # bare [u, v] rows and combine no rows; only solve_transform runs the
     # row-operation core, on rows that carry the generator combination along
-    calls = {"_hnf_core": [], "_basis_rows": [], "_comb": [], "hnf_basis": []}
-
-    def recording(name, measure):
-        fn = getattr(lattice, name)
-
-        def wrapped(*args):
-            calls[name].append(measure(*args))
-            return fn(*args)
-
+    calls = {}
+    for name in ("_hnf_core", "_basis_rows", "_comb", "hnf_basis"):
+        original = getattr(lattice, name)
+        wrapper = recorder(original)
         # every module binding: ideals imports _basis_rows by name
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.split(".")[0] == "quadgenus" and getattr(mod, name, None) is fn:
-                monkeypatch.setattr(mod, name, wrapped)
+        rebind(monkeypatch, original, wrapper)
+        calls[name] = wrapper.calls
 
-    def row_widths(rows):
-        return tuple(len(r) for r in rows)
+    def row_widths(name):
+        return [tuple(len(r) for r in args[0]) for args in calls[name]]
 
     def clear():
         for recorded in calls.values():
             recorded.clear()
 
-    recording("_hnf_core", row_widths)
-    recording("_basis_rows", row_widths)
-    recording("_comb", lambda x, r, y, s: (len(r), len(s)))
-    recording("hnf_basis", lambda x: x.m)
     rng = random.Random(11)
     for m in (1, 2, 3, 5):
-        x, y = _random_tuple(rng, D23, m), _random_tuple(rng, D23, m)
+        x, y = random_tuple(rng, D23, m, 20), random_tuple(rng, D23, m, 20)
         lattice.hnf_basis(x)
         contains(x, y)
         contains(x, module_mul(x, y))
-    assert calls["hnf_basis"] == [1, 2, 3, 5]
-    assert calls["_basis_rows"] and {w for ws in calls["_basis_rows"] for w in ws} == {2}
+    assert [args[0].m for args in calls["hnf_basis"]] == [1, 2, 3, 5]
+    widths = row_widths("_basis_rows")
+    assert widths and {w for ws in widths for w in ws} == {2}
     assert calls["_hnf_core"] == calls["_comb"] == []
     clear()
     ideal_mul(OrderIdeal(2, 1, D23), OrderIdeal(3, 1, D23))
-    assert calls["_basis_rows"] == [(2, 2, 2, 2)]
+    assert row_widths("_basis_rows") == [(2, 2, 2, 2)]
     assert calls["hnf_basis"] == calls["_hnf_core"] == calls["_comb"] == []
     clear()
-    solve_transform(integral(), _random_tuple(rng, D23, 3))
+    solve_transform(integral(), random_tuple(rng, D23, 3, 20))
     assert calls["_basis_rows"] == []
-    assert calls["_hnf_core"] == [(5, 5)]
-    assert calls["_comb"] and set(calls["_comb"]) == {(5, 5)}
+    assert row_widths("_hnf_core") == [(5, 5)]
+    assert calls["_comb"] and {(len(r), len(s)) for _, r, _, s in calls["_comb"]} == {(5, 5)}
 
 
 def _random_rows(rng, m, digits):
@@ -203,9 +177,7 @@ def test_closed_form_matches_row_operations():
 
 def test_closed_form_matches_row_operations_on_ideal_products():
     pairs = 0
-    for dv in range(-3, -401, -1):
-        if dv % 4 not in (0, 1):
-            continue
+    for dv in discs(400):
         d = Discriminant(dv)
         tuples = [form_to_ideal(f).gen_tuple() for f in enumerate_reduced(d)]
         for x in tuples:
@@ -219,8 +191,8 @@ def test_closed_form_matches_row_operations_on_ideal_products():
 def test_hnf_idempotent_and_order_independent():
     rng = random.Random(6)
     for _ in range(100):
-        d = _random_disc(rng)
-        x = _random_tuple(rng, d, rng.randrange(1, 5))
+        d = random_disc(rng, 500)
+        x = random_tuple(rng, d, rng.randrange(1, 5), 20)
         b = hnf_basis(x)
         again = hnf_basis(GenTuple(b.rows, d)) if b.rank else b
         if b.rank:
@@ -236,7 +208,7 @@ def test_contains_examples():
     y = GenTuple([QuadInt.from_int(2, d), qi(1, -1)])
     assert contains(x, y)  # ideal inside the order
     assert not contains(GenTuple([QuadInt.from_int(2, d), omega() * 2]), x)
-    assert contains(x, _random_tuple(random.Random(7), d, 3))  # order holds everything
+    assert contains(x, random_tuple(random.Random(7), d, 3, 20))  # order holds everything
 
 
 def test_contains_mismatch():
@@ -268,7 +240,7 @@ def test_solve_not_submodule():
 
 def test_apply_identity():
     rng = random.Random(8)
-    x = _random_tuple(rng, D23, 3)
+    x = random_tuple(rng, D23, 3, 20)
     assert apply_transform(identity_matrix(3), x) == x
 
 
@@ -314,9 +286,9 @@ def test_matrix_that_is_not_a_list_of_rows_rejected():
 def test_roundtrip_random():
     rng = random.Random(9)
     for _ in range(250):
-        d = _random_disc(rng)
+        d = random_disc(rng, 500)
         m = rng.randrange(1, 5)
-        x = _random_tuple(rng, d, m)
+        x = random_tuple(rng, d, m, 20)
         g = tuple(
             tuple(rng.randrange(-9, 10) for _ in range(m)) for _ in range(m)
         )
@@ -347,8 +319,8 @@ def test_modules_equal_cases():
 def test_modules_equal_iff_two_way_solve():
     rng = random.Random(10)
     for _ in range(120):
-        d = _random_disc(rng)
-        x = _random_tuple(rng, d, 2)
+        d = random_disc(rng, 500)
+        x = random_tuple(rng, d, 2, 20)
         if hnf_basis(x).rank == 0:
             continue
         if rng.random() < 0.5:
@@ -390,7 +362,7 @@ def test_order_index_equals_conductor():
     # the basis {(1, 0), (u, f)} over (1, omega_K) has determinant f
     rng = random.Random(12)
     for _ in range(60):
-        d = _random_disc(rng, hi=3000)
+        d = random_disc(rng, 3000)
         f, dk = d.conductor, d.fundamental
         u2 = dk * f * (f - 1)
         assert u2 % 2 == 0
@@ -401,10 +373,10 @@ def test_order_index_equals_conductor():
 def test_module_mul_commutes_associates():
     rng = random.Random(11)
     for _ in range(60):
-        d = _random_disc(rng)
-        x = _random_tuple(rng, d, 2, bound=8)
-        y = _random_tuple(rng, d, 2, bound=8)
-        z = _random_tuple(rng, d, 2, bound=8)
+        d = random_disc(rng, 500)
+        x = random_tuple(rng, d, 2, 8)
+        y = random_tuple(rng, d, 2, 8)
+        z = random_tuple(rng, d, 2, 8)
         assert modules_equal(module_mul(x, y), module_mul(y, x))
         assert modules_equal(
             module_mul(module_mul(x, y), z), module_mul(x, module_mul(y, z))

@@ -24,25 +24,9 @@ from quadgenus.normforms import (
     represent_from_fo,
 )
 
+from oracles import discs, random_disc, random_tuple
+
 D23 = Discriminant(-23)
-
-
-def _random_disc(rng, lo=3, hi=500):
-    while True:
-        dv = -rng.randrange(lo, hi)
-        if dv % 4 in (0, 1):
-            return Discriminant(dv)
-
-
-def _random_tuple(rng, d, m, bound=15):
-    coeffs = []
-    for _ in range(m):
-        q = rng.randrange(-bound, bound + 1)
-        p = rng.randrange(-bound, bound + 1)
-        if (p - q * d.d) % 2:
-            p += 1
-        coeffs.append(QuadInt(p, q, d))
-    return GenTuple(coeffs, d)
 
 
 def test_principal_norm_form():
@@ -54,10 +38,9 @@ def test_principal_norm_form():
 
 
 def test_principal_norm_form_is_the_norm_form_of_the_order():
-    for dv in range(-3, -2001, -1):
-        if dv % 4 in (0, 1):
-            d = Discriminant(dv)
-            assert principal_norm_form(d) == norm_form(integral_tuple(d)), dv
+    for dv in discs(2000):
+        d = Discriminant(dv)
+        assert principal_norm_form(d) == norm_form(integral_tuple(d)), dv
 
 
 def test_discriminant_keeps_its_binary_norm_form():
@@ -78,9 +61,9 @@ def test_norm_form_of_ideal_tuple():
 def test_evaluation_identity_random():
     rng = random.Random(20)
     for _ in range(200):
-        d = _random_disc(rng)
+        d = random_disc(rng, 500)
         m = rng.randrange(1, 5)
-        x = _random_tuple(rng, d, m)
+        x = random_tuple(rng, d, m, 15)
         f = norm_form(x)
         z = [rng.randrange(-6, 7) for _ in range(m)]
         s = QuadInt(0, 0, d)
@@ -144,7 +127,7 @@ def test_fold_matches_the_expansion_random():
         for _ in range(120):
             bound = rng.choice((1, 10, 10**30))
             keys = [(i, j) for i in range(m) for j in range(i, m)]
-            f = MultiQuadraticForm(m, {key: pick(bound) for key in keys}, _random_disc(rng))
+            f = MultiQuadraticForm(m, {key: pick(bound) for key in keys}, random_disc(rng, 500))
             h = [[pick(bound) for _ in range(m)] for _ in range(m)]
             if rng.random() < 0.3:
                 h[rng.randrange(m)] = [0] * m
@@ -173,9 +156,9 @@ def test_public_entry_points_check_the_matrix(h):
 def test_naturality_random():
     rng = random.Random(21)
     for _ in range(200):
-        d = _random_disc(rng)
+        d = random_disc(rng, 500)
         m = rng.randrange(1, 5)
-        x = _random_tuple(rng, d, m)
+        x = random_tuple(rng, d, m, 15)
         h = tuple(tuple(rng.randrange(-7, 8) for _ in range(m)) for _ in range(m))
         assert form_action(h, norm_form(x)) == norm_form(apply_transform(h, x))
 
@@ -185,7 +168,7 @@ def test_naturality_at_the_cli_variable_limit():
     # on a 2-CPU x86 box with CPython 3.11, where a fold of every coefficient
     # into every output key, Theta(m^4), took about 1 s
     rng = random.Random(26)
-    x = _random_tuple(rng, D23, 64)
+    x = random_tuple(rng, D23, 64, 15)
     h = tuple(tuple(rng.randrange(-7, 8) for _ in range(64)) for _ in range(64))
     f = norm_form(x)
     t0 = time.monotonic()
@@ -234,8 +217,8 @@ def test_value_containment_on_grid():
     # is a value of norm_form(x)
     rng = random.Random(22)
     for _ in range(40):
-        d = _random_disc(rng)
-        x = _random_tuple(rng, d, 2, bound=6)
+        d = random_disc(rng, 500)
+        x = random_tuple(rng, d, 2, 6)
         h = tuple(tuple(rng.randrange(-4, 5) for _ in range(2)) for _ in range(2))
         y = apply_transform(h, x)
         assert contains(x, y)
@@ -257,7 +240,7 @@ def test_represent_from_fo_standard_basis_matrix():
     rng = random.Random(23)
     done = 0
     while done < 60:
-        d = _random_disc(rng)
+        d = random_disc(rng, 500)
         a = rng.randrange(1, 40)
         b = rng.randrange(-40, 40)
         if (b * b - d.d) % (4 * a):
@@ -270,9 +253,9 @@ def test_represent_from_fo_standard_basis_matrix():
 def test_represent_from_fo_general_tuples():
     rng = random.Random(24)
     for _ in range(80):
-        d = _random_disc(rng)
+        d = random_disc(rng, 500)
         m = rng.randrange(1, 5)
-        x = _random_tuple(rng, d, m)
+        x = random_tuple(rng, d, m, 15)
         h = represent_from_fo(x)
         mm = max(2, m)
         fo = norm_form(integral_tuple(d, mm))

@@ -6,11 +6,12 @@ import quadgenus
 import quadgenus.forms as forms
 import quadgenus.lattice as lattice
 import quadgenus.normforms as normforms
-from quadgenus.arith import Discriminant
 from quadgenus.ideals import OrderIdeal, compose_via_matrices
-from test_ideals import _rebind
+
+from oracles import every_pair, rebind, recorder
 
 SRC = Path(quadgenus.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def test_no_bare_assert_in_library():
@@ -23,15 +24,28 @@ def test_no_bare_assert_in_library():
     assert found == []
 
 
-def _imported_modules(name):
-    """Every module an import statement of src/quadgenus/<name> names."""
+def _imported_modules(name, root=SRC):
+    """Every module an import statement of <root>/<name> names; root is
+    src/quadgenus unless given."""
     found = set()
-    for node in ast.walk(ast.parse((SRC / name).read_text(), name)):
+    for node in ast.walk(ast.parse((root / name).read_text(), name)):
         if isinstance(node, ast.ImportFrom):
             found.add("." * node.level + (node.module or ""))
         elif isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
     return found
+
+
+def test_no_test_module_imports_another():
+    # shared helpers live in tests/oracles.py: a test module that imports
+    # another is not collected under pytest --import-mode=importlib
+    found = {
+        f"{path.name}: {module}"
+        for path in sorted(TESTS.glob("*.py"))
+        for module in _imported_modules(path.name, TESTS)
+        if module.startswith("test_")
+    }
+    assert found == set()
 
 
 def test_forms_imports_only_arith():
@@ -117,20 +131,12 @@ def _calls(name, fn_name):
 def _route_calls(monkeypatch, *originals):
     """Names of the originals called, through any quadgenus binding, while
     the matrix route composes every ordered pair at d = -23, -76 and -84."""
-    calls = []
-    for original in originals:
-
-        def counted(*args, original=original):
-            calls.append(original.__name__)
-            return original(*args)
-
-        _rebind(monkeypatch, original, counted)
-    for dv in (-23, -76, -84):
-        reduced = forms.enumerate_reduced(Discriminant(dv))
-        for f in reduced:
-            for g in reduced:
-                assert compose_via_matrices(f, g) == forms.compose_crt(f, g)
-    return calls
+    wrappers = [recorder(original) for original in originals]
+    for original, wrapper in zip(originals, wrappers):
+        rebind(monkeypatch, original, wrapper)
+    for f, g in every_pair((-23, -76, -84)):
+        assert compose_via_matrices(f, g) == forms.compose_crt(f, g)
+    return [original.__name__ for original, w in zip(originals, wrappers) for _ in w.calls]
 
 
 def test_crt_route_makes_no_repair():
