@@ -1,11 +1,12 @@
 """Command-line surface: one subcommand per library operation.
 
-Every run prints a single envelope. JSON output serializes all numbers as
-decimal strings so arbitrary precision survives any consumer; identical
-inputs give byte-identical output. Errors go to stderr as an envelope,
-exit code 1 for domain errors, 2 for usage errors and 3 for internal
-errors (any other fault inside the library, such as a broken invariant),
-whose message names the library module that raised it.
+A run prints its result as text lines, or as one envelope with --format
+json, and renders only the format it prints. JSON output serializes all
+numbers as decimal strings so arbitrary precision survives any consumer;
+identical inputs give byte-identical output. Errors go to stderr as an
+envelope, exit code 1 for domain errors, 2 for usage errors and 3 for
+internal errors (any other fault inside the library, such as a broken
+invariant), whose message names the library module that raised it.
 
 Arguments: -d, the discriminant; f, g, form: forms "(a,b,c)"; i1, i2,
 ideal: ideals "(a,b)"; tuple, x, y: tuples "(p,q),(p,q),..."; matrix:
@@ -32,12 +33,14 @@ from .normforms import MultiQuadraticForm, form_action, norm_form
 MAX_VARS = 64
 
 # argument grammars, each matched in full against the raw text; whitespace
-# is allowed around parentheses, commas and numbers, not inside a number
+# is allowed around parentheses, commas and numbers, not inside a number;
+# a form's and an ideal's grammar capture their integers
 _INT = r"\s*-?\d+\s*"
 _PAIR = rf"\({_INT},{_INT}\)"
-_FORM_RE = re.compile(rf"\s*\({_INT},{_INT},{_INT}\)\s*")
-_IDEAL_RE = re.compile(rf"\s*{_PAIR}\s*")
-_TUPLE_RE = re.compile(rf"\s*{_PAIR}(\s*,\s*{_PAIR})*\s*")
+_CAPTURED = r"\s*(-?\d+)\s*"
+_FORM_RE = re.compile(rf"\s*\({_CAPTURED},{_CAPTURED},{_CAPTURED}\)\s*")
+_IDEAL_RE = re.compile(rf"\s*\({_CAPTURED},{_CAPTURED}\)\s*")
+_TUPLE_RE = re.compile(rf"\s*{_PAIR}(?:\s*,\s*{_PAIR})*\s*")
 _RANGE_RE = re.compile(r"\s*-\d+\s*\.\.\s*-\d+\s*")
 _NUMBER_RE = re.compile(r"-?\d+")
 # an option: "--" and a name, or "-" and a letter, then "=" and a value or
@@ -50,10 +53,11 @@ class UsageError(Exception):
 
 
 def _ints(pattern: re.Pattern, text: str, error: str | None = None) -> list[int] | None:
-    """The integers of text, in order, if pattern matches all of it; else
-    None, or, given error, the UsageError "cannot parse " + error.format(text)."""
-    if pattern.fullmatch(text):
-        return [int(n) for n in _NUMBER_RE.findall(text)]
+    """The integers of text, in order (pattern's groups, if it has any), if
+    pattern matches all of it; else None, or, given error, the UsageError
+    "cannot parse " + error.format(text)."""
+    if m := pattern.fullmatch(text):
+        return [int(n) for n in (m.groups() or _NUMBER_RE.findall(text))]
     if error is not None:
         raise UsageError("cannot parse " + error.format(text))
     return None
@@ -91,19 +95,20 @@ def _parse_matrix(text: str):
 def _stringify(value):
     """JSON-ready copy of a result: integers as decimal strings, forms,
     ideals and norm forms as objects of their fields."""
-    if isinstance(value, int):
+    kind = type(value)
+    if kind is int:
         return str(value)
-    if isinstance(value, (list, tuple)):
+    if kind is BinaryForm:
+        return {"a": str(value.a), "b": str(value.b), "c": str(value.c), "d": str(value.disc.d)}
+    if kind is list or kind is tuple:
         return [_stringify(v) for v in value]
-    if isinstance(value, BinaryForm):
-        value = {"a": value.a, "b": value.b, "c": value.c, "d": value.disc.d}
-    elif isinstance(value, OrderIdeal):
-        value = {"a": value.a, "b": value.b, "d": value.disc.d}
-    elif isinstance(value, MultiQuadraticForm):
-        coeffs = [(i, j, c) for (i, j), c in value.coeffs.items()]
-        value = {"m": value.m, "d": value.disc.d, "coeffs": coeffs}
-    if isinstance(value, dict):
+    if kind is dict:
         return {k: _stringify(v) for k, v in value.items()}
+    if kind is OrderIdeal:
+        return {"a": str(value.a), "b": str(value.b), "d": str(value.disc.d)}
+    if kind is MultiQuadraticForm:
+        coeffs = [[str(i), str(j), str(c)] for (i, j), c in value.coeffs.items()]
+        return {"m": str(value.m), "d": str(value.disc.d), "coeffs": coeffs}
     return value
 
 
@@ -116,22 +121,23 @@ def _text(value) -> str:
 
 
 # Subcommand handlers: each takes the dict of parsed arguments and the
-# discriminant of -d (None for verify) and returns (result, text_lines)
+# discriminant of -d (None for verify) and returns (result, lines): lines()
+# renders the text output, which a --format json run never calls
 
 
 def _cmd_reduce(args, disc):
     r, w = reduce_form(_parse_form(args["form"], disc))
-    return {"form": r, "witness": w}, [str(r), "witness: " + _text(w)]
+    return {"form": r, "witness": w}, lambda: [str(r), "witness: " + _text(w)]
 
 
 def _cmd_enumerate(args, disc):
     forms = enumerate_reduced(disc)
-    return {"d": disc.d, "h": len(forms), "forms": forms}, [str(f) for f in forms]
+    return {"d": disc.d, "h": len(forms), "forms": forms}, lambda: [str(f) for f in forms]
 
 
 def _cmd_compose(args, disc):
     r = args["route"](_parse_form(args["f"], disc), _parse_form(args["g"], disc))
-    return {"form": r}, [str(r)]
+    return {"form": r}, lambda: [str(r)]
 
 
 def _cmd_classgroup(args, disc):
@@ -147,38 +153,41 @@ def _cmd_classgroup(args, disc):
         "coset_reps": reps,
     }
     result = {k: values[k] for k in args["fields"]}
-    lines = [f"{k}: {_text(v)}" for k, v in result.items()]
+
+    def lines():
+        out = [f"{k}: {_text(values[k])}" for k in args["fields"]]
+        if args["table"]:
+            out += ["table:", *("  " + " ".join(str(k) for k in row) for row in g.table)]
+        return out
+
     if args["table"]:
         result["table"] = g.table
-        lines.append("table:")
-        lines += ["  " + " ".join(str(k) for k in row) for row in g.table]
     return result, lines
 
 
 def _cmd_ideal_mul(args, disc):
     content, prod = ideal_mul(_parse_ideal(args["i1"], disc), _parse_ideal(args["i2"], disc))
-    text = str(prod) if content == 1 else f"{content} * {prod}"
-    return {"content": content, "ideal": prod}, [text]
+    return {"content": content, "ideal": prod}, lambda: [str(prod) if content == 1 else f"{content} * {prod}"]
 
 
 def _cmd_form2ideal(args, disc):
     i = form_to_ideal(_parse_form(args["form"], disc))
-    return {"ideal": i}, [str(i)]
+    return {"ideal": i}, lambda: [str(i)]
 
 
 def _cmd_ideal2form(args, disc):
     f = ideal_to_form(_parse_ideal(args["ideal"], disc))
-    return {"form": f}, [str(f)]
+    return {"form": f}, lambda: [str(f)]
 
 
 def _cmd_normform(args, disc):
     f = norm_form(_parse_tuple(args["tuple"], disc))
-    return {"form": f}, [str(f)]
+    return {"form": f}, lambda: [str(f)]
 
 
 def _cmd_solve_transform(args, disc):
     h = solve_transform(_parse_tuple(args["x"], disc), _parse_tuple(args["y"], disc))
-    return {"matrix": h}, [_text(h)]
+    return {"matrix": h}, lambda: [_text(h)]
 
 
 def _cmd_form_action(args, disc):
@@ -189,7 +198,7 @@ def _cmd_form_action(args, disc):
     else:
         f = norm_form(_parse_tuple(args["form"], disc))
     r = form_action(h, f)
-    return {"form": r}, [str(r)]
+    return {"form": r}, lambda: [str(r)]
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -228,7 +237,10 @@ def _cmd_verify(args, _disc):
             _, prod = ideal_mul(form_to_ideal(f), form_to_ideal(g))
             idl = reduce_form(ideal_to_form(prod))[0]
             pairs += 1
-            if not (crt == mat == idl):
+            # all three routes end in reduce_form, so agreeing is not enough:
+            # |b| <= a <= c, and b >= 0 when |b| = a or a = c
+            a, b, c = crt.a, crt.b, crt.c
+            if not (crt == mat == idl and abs(b) <= a <= c and (b >= 0 or (-b < a < c))):
                 mismatches.append({"d": d, "f": f, "g": g})
     result = {
         "range": [lo, hi],
@@ -236,8 +248,7 @@ def _cmd_verify(args, _disc):
         "pairs": pairs,
         "mismatches": mismatches,
     }
-    lines = [f"checked {discs} discriminants, {pairs} pairs, {len(mismatches)} mismatches"]
-    return result, lines
+    return result, lambda: [f"checked {discs} discriminants, {pairs} pairs, {len(mismatches)} mismatches"]
 
 
 # name -> (handler, positional names, fixed values, options), in the order
@@ -265,9 +276,10 @@ _COMMANDS = {
     "verify": (_cmd_verify, (), {"samples": 25}, ("--range", "--samples")),
 }
 
-# option -> int, str, its choices, or None for a flag; no long option is a
-# prefix of another
+# option -> int, str, its choices, or None for a flag; no option is a prefix
+# of another, so one given by its full name needs no prefix scan
 _OPTIONS = {"--format": ("json", "text"), "-d": int, "--table": None, "--range": str, "--samples": int}
+_GLOBAL_OPTIONS = ("--format", "-h", "--help")
 
 
 def _choice(arg, value, choices) -> UsageError:
@@ -294,12 +306,13 @@ def _parse(argv) -> tuple[str, dict | None]:
         if token == "--":
             ended = True
             continue
-        key, eq, value = m.groups()
-        match = [o for o in ("--format", "-h", "--help", *options) if o.startswith(key)]
-        if len(match) != 1:
-            extras.append(token)
-            continue
-        opt = match[0]
+        opt, eq, value = m.groups()
+        if opt not in options and opt not in _GLOBAL_OPTIONS:
+            match = [o for o in (*_GLOBAL_OPTIONS, *options) if o.startswith(opt)]
+            if len(match) != 1:
+                extras.append(token)
+                continue
+            opt = match[0]
         if opt in ("-h", "--help"):
             return name, None
         kind = _OPTIONS[opt]
@@ -345,8 +358,7 @@ def _raising_module(exc) -> str:
     return name
 
 
-def _json(envelope) -> str:
-    return json.dumps(_stringify(envelope), separators=(",", ":"))
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def main(argv=None) -> int:
@@ -389,15 +401,19 @@ def _run(argv) -> int:
             raise UsageError("a subcommand is required (try --help)")
         disc = Discriminant(args["d"]) if "d" in args else None
         result, lines = _COMMANDS[command][0](args, disc)
+        if fmt == "json":
+            out = [_ENCODER.encode({"status": "ok", "command": command, "result": _stringify(result)})]
+        else:
+            out = lines()
     except Exception as exc:
         if isinstance(exc, (UsageError, DomainError)):
             code, error = (2 if isinstance(exc, UsageError) else 1), str(exc)
         else:
             code, error = 3, f"internal error in {_raising_module(exc)}: {exc}"
         # the exit code holds even when stderr is closed
-        _emit(sys.stderr, [_json({"status": "error", "command": command, "error": error})])
+        _emit(sys.stderr, [_ENCODER.encode({"status": "error", "command": command, "error": error})])
         return code
-    _emit(sys.stdout, [_json({"status": "ok", "command": command, "result": result})] if fmt == "json" else lines)
+    _emit(sys.stdout, out)
     return 0
 
 

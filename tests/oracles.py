@@ -81,6 +81,12 @@ def count_reduced(d):
     return count
 
 
+def is_reduced(f):
+    """|b| <= a <= c, with b >= 0 when |b| = a or a = c."""
+    a, b, c = f.a, f.b, f.c
+    return abs(b) <= a <= c and (b >= 0 or -b < a < c)
+
+
 def ideal_route(f, g):
     """f composed with g through ideal multiplication, then reduction: the
     third composition route, next to compose_crt and compose_via_matrices."""

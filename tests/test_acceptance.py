@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v` (add -s to see the lines).
 """
 
+import json
 import math
 import random
 import time
@@ -11,7 +12,8 @@ import pytest
 
 from quadgenus.arith import Discriminant
 from quadgenus.classgroup import cl_mod_squares, class_group, two_torsion
-from quadgenus.forms import compose_crt, enumerate_reduced, principal_form, reduce_form
+from quadgenus.cli import main
+from quadgenus.forms import BinaryForm, compose_crt, enumerate_reduced, principal_form, reduce_form
 from quadgenus.ideals import (
     OrderIdeal,
     compose_via_matrices,
@@ -29,14 +31,17 @@ from quadgenus.normforms import (
     represent_from_fo,
 )
 
+import oracles
 from oracles import (
     count_reduced,
     discs,
     distinct_primes,
     ideal_route,
     is_fundamental,
+    is_reduced,
     random_disc,
     random_tuple,
+    rebind,
 )
 
 RANGE_LIMIT = -2000
@@ -71,6 +76,14 @@ def _random_concordant_pairs(seed, count):
     return out
 
 
+def _check_c1(f, g):
+    """C1 on one pair: the three routes give one form, and it is reduced;
+    all three end in reduce_form, so agreeing alone would not show that."""
+    crt = compose_crt(f, g)
+    assert crt == compose_via_matrices(f, g) == ideal_route(f, g), (f.disc.d, f.triple(), g.triple())
+    assert is_reduced(crt), (f.disc.d, f.triple(), g.triple(), crt.triple())
+
+
 def test_c1_dual_oracle_composition(groups):
     """Criterion 1: CRT, matrix, and ideal composition agree on every pair
     of reduced forms for every fundamental d in [-2000, -3], within 60 s."""
@@ -82,10 +95,7 @@ def test_c1_dual_oracle_composition(groups):
         for i in range(h):
             fi = forms[i]
             for j in range(h):
-                crt = compose_crt(fi, forms[j])
-                mat = compose_via_matrices(fi, forms[j])
-                idl = ideal_route(fi, forms[j])
-                assert crt == mat == idl, (d, fi.triple(), forms[j].triple())
+                _check_c1(fi, forms[j])
                 pairs += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"criterion 1 took {elapsed:.1f}s"
@@ -105,13 +115,34 @@ def test_c1_dual_oracle_non_fundamental():
         forms = enumerate_reduced(Discriminant(d))
         for f in forms:
             for g in forms:
-                crt = compose_crt(f, g)
-                mat = compose_via_matrices(f, g)
-                idl = ideal_route(f, g)
-                assert crt == mat == idl, (d, f.triple(), g.triple())
+                _check_c1(f, g)
                 pairs += 1
     elapsed = time.monotonic() - t0
     print(f"\nACCEPT 1b dual-oracle, non-fundamental d: PASS ({pairs} pairs, {elapsed:.1f}s)")
+
+
+def test_c1_and_verify_catch_a_reduction_one_swap_short(monkeypatch, capsys):
+    # a reduce_form that skips its final swap returns (c, -b, a) for the
+    # reduced (a, b, c); every route ends in it, so all three still agree
+    reduce = reduce_form
+
+    def one_swap_short(f):
+        r = reduce(f)[0]
+        return BinaryForm(r.c, -r.b, r.a, r.disc), None  # no caller here reads the witness
+
+    rebind(monkeypatch, reduce_form, one_swap_short)
+    monkeypatch.setattr(oracles, "reduce_form", one_swap_short)
+    forms = enumerate_reduced(Discriminant(-23))
+    for f in forms:
+        for g in forms:
+            assert compose_crt(f, g) == compose_via_matrices(f, g) == ideal_route(f, g)
+            with pytest.raises(AssertionError):
+                _check_c1(f, g)
+    assert main(["verify", "--range", "-23..-23"]) == 0
+    assert capsys.readouterr().out == "checked 1 discriminants, 6 pairs, 6 mismatches\n"
+    assert main(["--format", "json", "verify", "--range", "-23..-23"]) == 0
+    mismatches = json.loads(capsys.readouterr().out)["result"]["mismatches"]
+    assert [sorted(m) for m in mismatches] == [["d", "f", "g"]] * 6
 
 
 def test_c2_matrix_closed_form():

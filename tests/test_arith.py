@@ -12,7 +12,7 @@ from quadgenus.arith import (
     factorize,
 )
 
-from oracles import random_quadint
+from oracles import random_disc, random_quadint
 
 
 def test_discriminant_validation():
@@ -69,12 +69,9 @@ def test_conductor_split_checks_the_square_part():
 def test_conductor_split_random():
     rng = random.Random(1)
     for _ in range(200):
-        d = -rng.randrange(3, 10**6)
-        if d % 4 not in (0, 1):
-            continue
-        disc = Discriminant(d)
+        disc = random_disc(rng, 10**6)
         f, dk = disc.conductor, disc.fundamental
-        assert f * f * dk == d
+        assert f * f * dk == disc.d
         fund = Discriminant(dk)
         assert fund.conductor == 1
 
@@ -195,10 +192,7 @@ def test_norm_trace_conj_examples():
 def test_ring_properties_random():
     rng = random.Random(3)
     for _ in range(300):
-        dv = -rng.randrange(3, 500)
-        if dv % 4 not in (0, 1):
-            continue
-        d = Discriminant(dv)
+        d = random_disc(rng, 500)
         x = random_quadint(rng, d, 30)
         y = random_quadint(rng, d, 30)
         assert (x * y).norm() == x.norm() * y.norm()
@@ -207,17 +201,14 @@ def test_ring_properties_random():
         assert x * x.conjugate() == QuadInt(2 * x.norm(), 0, d)
         # parity invariant survives the ring operations
         for z in (x + y, x - y, x * y, -x, x.conjugate()):
-            assert (z.p - z.q * dv) % 2 == 0
+            assert (z.p - z.q * d.d) % 2 == 0
         assert x.norm() >= 0  # definite
 
 
 def test_coords_roundtrip():
     rng = random.Random(4)
     for _ in range(100):
-        dv = -rng.randrange(3, 500)
-        if dv % 4 not in (0, 1):
-            continue
-        d = Discriminant(dv)
+        d = random_disc(rng, 500)
         x = random_quadint(rng, d, 30)
         u, v = x.coords()
         assert QuadInt.from_coords(u, v, d) == x

@@ -165,6 +165,25 @@ def test_golden_output(capsys):
     assert mismatched == []
 
 
+def test_a_run_renders_only_the_format_it_prints(capsys, monkeypatch):
+    # a json run never renders text lines, and a text run (errors included)
+    # never builds the JSON result
+    def refuse(*args):
+        raise AssertionError("rendered a format the run does not print")
+
+    monkeypatch.delenv("QG_FORMAT", raising=False)
+    mismatched = []
+    for unused in ("_text", "_stringify"):
+        with monkeypatch.context() as patch:
+            patch.setattr(f"quadgenus.cli.{unused}", refuse)
+            for case in GOLDEN:
+                if (case["argv"][:2] == ["--format", "json"]) == (unused == "_text"):
+                    got = run_cli(capsys, *case["argv"])
+                    if got != (case["code"], case["stdout"], case["stderr"]):
+                        mismatched.append((unused, case["argv"], got))
+    assert mismatched == []
+
+
 def test_determinism(capsys):
     args = ["--format", "json", "classgroup", "-d", "-479"]
     code1, out1, _ = run_cli(capsys, *args)
