@@ -5,12 +5,14 @@ The group lives on the reduced forms of one discriminant. Its structure
 comes from growing a subgroup one generator at a time (Buchmann-Schmidt,
 "Computing the structure of a finite abelian group", Math. Comp. 74,
 2005): each generator is the least reduced form outside the subgroup,
-half of its cosets cost one CRT composition an element and the rest are
+whose cosets are kept end to end in one flat list of element indices.
+Half of the cosets cost one CRT composition an element and the rest are
 their inverses, so about h/2 compositions give every class an exponent
 vector over the generators, and the Smith normal form of the small
-relation matrix gives the invariant factors. The generator loop and the
-Cayley table compose (a, b) pairs with forms._compose_ab, which builds no
-form; the tests check it against compose_crt on every pair. Two-torsion
+relation matrix, diagonalized in place, gives the invariant factors. The
+generator loop and the Cayley table compose (a, b) pairs with
+forms._compose_ab, which builds no form; the tests check it against
+compose_crt on every pair. Two-torsion
 is read off the ambiguous reduced forms and the quotient by squares off
 the exponent vectors mod 2, so neither composes. The Cayley table is
 built on demand only, by full pairwise composition.
@@ -90,27 +92,33 @@ class ClassGroup:
 
 def _smith_invariants(rows) -> list[int]:
     """Invariant factors n1 | n2 | ... (those > 1) of Z^k modulo the rows
-    of a nonsingular k x k integer matrix: diagonalize by unimodular row
-    steps on the matrix and its transpose, then replace each pair of
-    diagonal entries by their gcd and lcm."""
+    of a nonsingular k x k integer matrix: diagonalize in place, clearing
+    column t by unimodular row steps and row t by column steps until both
+    are zero off the diagonal, then replace each pair of diagonal entries
+    by their gcd and lcm."""
     m = [list(r) for r in rows]
     k = len(m)
     for t in range(k):
         while True:
             for i in range(t + 1, k):
-                if m[i][t] or m[t][i]:
-                    break
-            else:
-                break  # row and column t are zero off the diagonal
-            for i in range(t + 1, k):
                 p, c = m[t][t], m[i][t]
-                if p and c % p == 0:
+                if c and p and c % p == 0:
                     m[i] = [y - c // p * x for x, y in zip(m[t], m[i])]
                 elif c:
                     g, x, y = _xgcd(p, c)
                     m[t], m[i] = ([x * u + y * v for u, v in zip(m[t], m[i])],
                                   [c // g * u - p // g * v for u, v in zip(m[t], m[i])])
-            m = [list(col) for col in zip(*m)]
+            if not any(m[t][t + 1:]):
+                break  # column t is clear, and now row t too
+            for i in range(t + 1, k):
+                p, c = m[t][t], m[t][i]
+                if c and p and c % p == 0:
+                    for r in m:
+                        r[i] -= c // p * r[t]
+                elif c:
+                    g, x, y = _xgcd(p, c)
+                    for r in m:
+                        r[t], r[i] = x * r[t] + y * r[i], c // g * r[t] - p // g * r[i]
     n = [abs(m[t][t]) for t in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
@@ -140,9 +148,11 @@ def class_group(disc: Discriminant) -> ClassGroup:
     """Elements, exponent vectors over generators, and invariant factors
     for one discriminant, in about h/2 compositions.
 
-    Coset j of the subgroup lists g**j * sub[i] at position i, so the
-    class there has the vector of sub[i] with j appended; a class read off
-    by inversion has one carried vector per position, whatever j is.
+    The cosets g**j * S of the subgroup S, k = |S| classes each, sit end to
+    end in one list: position j*k + i holds g**j * S[i], whose vector is
+    that of S[i] with j appended. Coset j is composed from coset j - 1, k
+    places back, or read off by inverting coset m - j; a class read off by
+    inversion has one carried vector per position i, whatever j is.
     """
     d = disc.d
     elements = enumerate_reduced(disc)
@@ -150,54 +160,50 @@ def class_group(disc: Discriminant) -> ClassGroup:
     index = {(f.a, f.b): i for i, f in enumerate(elements)}
     if elements[0] != principal_form(disc):
         raise AssertionError("principal form must sort first")
+    ab = list(index)  # (a, b) of each element, in order
     coords = [None] * h
     coords[0] = ()
-    sub = [0]  # the subgroup found so far, as element indices
+    sub = [0]  # the subgroup found so far, as element indices, coset by coset
     found = []  # (m_t, exponent vector of g_t**m_t) per generator g_t
     nxt = 1
     while len(sub) < h:
         while coords[nxt] is not None:
             nxt += 1
-        gen = elements[nxt]
-        ga, gb = gen.a, gen.b
-
-        def times_gen(x):
-            f = elements[x]
-            a, b, _ = _compose_ab(f.a, f.b, ga, gb, d)
-            return index[(a, b)]
-
-        t = len(found)
+        ga, gb = ab[nxt]
+        t, k = len(found), len(sub)
         # base[i]: the vector of sub[i] over the t earlier generators
         base = [coords[x] + (0,) * (t - len(coords[x])) for x in sub]
-        cosets = [sub]  # g**j times the subgroup; composed ones led by g**j
-        j, lead = 1, nxt
+        j, lead = 1, nxt  # composed cosets are led by g**j
         while coords[inv := _inverse(index, elements[lead], lead)] is None:
-            new = [lead] + [times_gen(x) for x in cosets[-1][1:]]
-            for y, v in zip(new, base):
+            y = lead
+            for i, v in enumerate(base):
+                if i:  # g times position i of coset j - 1
+                    a, b, _ = _compose_ab(*ab[sub[-k]], ga, gb, d)
+                    y = index[(a, b)]
                 if coords[y] is not None:
                     raise AssertionError("coset of the subgroup meets the subgroup")
                 coords[y] = v + (j,)
-            cosets.append(new)
+                sub.append(y)
             if coords[inv] is not None:  # g**-j is in coset j itself
                 break
-            j, lead = j + 1, times_gen(lead)
+            a, b, _ = _compose_ab(*ab[lead], ga, gb, d)
+            j, lead = j + 1, index[(a, b)]
         # g**-j = g**i * s with s in the subgroup, so g**m = 1/s for m = i + j
         if len(coords[inv]) <= t:
             raise AssertionError("inverse of a generator power lies in the old subgroup")
         m = coords[inv][t] + j
         s = coords[inv][:t]
-        if len(cosets) < m:
+        if len(sub) < m * k:
             # position i of coset j inverts position i of coset m - j, so
             # its vector is carry(s - base[i]) with j appended
             rest = [_carry([a - b for a, b in zip(s, v)], found) for v in base]
-            for j in range(len(cosets), m):
-                new = [_inverse(index, elements[x], x) for x in cosets[m - j]]
-                for y, v in zip(new, rest):
+            for j in range(len(sub) // k, m):
+                for x, v in zip(sub[(m - j) * k:(m - j + 1) * k], rest):
+                    y = _inverse(index, elements[x], x)
                     if coords[y] is not None:
                         raise AssertionError("inverted class already has an exponent vector")
                     coords[y] = v + (j,)
-                cosets.append(new)
-        sub = [x for c in cosets for x in c]
+                    sub.append(y)
         found.append((m, _carry([-a for a in s], found)))
     n = len(found)
     coords = [c + (0,) * (n - len(c)) for c in coords]

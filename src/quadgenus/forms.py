@@ -170,13 +170,14 @@ def composition_b(a1: int, b1: int, a2: int, b2: int, d: int) -> tuple[int, int]
 
     Closed form (Dirichlet's united forms, Cohen Alg. 5.4.7): two xgcds give
     g1 = x*a1 + y*a2 and e = p*g1 + w*s, and then
-    B = (p*x*a1*b2 + p*y*a2*b1 + w*(b1*b2 + d)/2)/e. It is checked against
+    B = (p*x*a1*b2 + p*y*a2*b1 + w*(b1*b2 + d)/2)/e. A coprime pair, g1 = 1,
+    needs only the first: e = 1 with p = 1 and w = 0. B is checked against
     the three linear congruences that fix it modulo 2*a3: (a1/e)*B = (a1/e)*b2,
     (a2/e)*B = (a2/e)*b1 and (s/e)*B = (b1*b2 + d)/(2e).
     """
     s = (b1 + b2) // 2
     g1, x, y = _xgcd(a1, a2)
-    e, p, w = _xgcd(g1, s)
+    e, p, w = (1, 1, 0) if g1 == 1 else _xgcd(g1, s)
     h = (b1 * b2 + d) // 2
     a3 = (a1 // e) * (a2 // e)
     mod = 2 * a3

@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,8 @@ from quadgenus.classgroup import (
 from quadgenus.forms import BinaryForm, _compose_ab, compose_crt, enumerate_reduced, form_inverse
 
 from oracles import big_pairs, discs, distinct_primes, is_fundamental, recorder, run_child
+
+POOL = Path(__file__).resolve().parent.parent / "bench" / "data" / "classgroup_pool.json"
 
 
 def _crt_table(g):
@@ -98,23 +102,34 @@ def test_structure_matches_order_statistics():
             assert predicted == sum(1 for o in orders if m % o == 0)
 
 
-def test_genus_count_small_range():
-    for dv in discs(499):
+def test_genus_count_small_range(class_groups):
+    for g in class_groups[:len(discs(499))]:
+        dv = g.disc.d
         if not is_fundamental(dv):
             continue
-        g = class_group(Discriminant(dv))
         order, _ = cl_mod_squares(g)
         assert order == 2 ** (distinct_primes(dv) - 1)
         assert order == genus_count_from_factorization(g.disc)
 
 
-def test_genus_count_every_discriminant():
+def test_genus_count_every_discriminant(class_groups):
     # 2**(mu-1) for non-fundamental d too: d = -12 has one genus, d = -32 two
     assert genus_count_from_factorization(Discriminant(-12)) == 1
     assert genus_count_from_factorization(Discriminant(-32)) == 2
-    for dv in discs(4000):
-        g = class_group(Discriminant(dv))
-        assert genus_count_from_factorization(g.disc) == cl_mod_squares(g)[0], dv
+    for g in class_groups[:len(discs(4000))]:
+        assert genus_count_from_factorization(g.disc) == cl_mod_squares(g)[0], g.disc.d
+
+
+def test_benchmark_pool_entries():
+    # the benchmark's stored answers: h, structure, genus order and the
+    # number of ambiguous classes of each of its 150 discriminants
+    entries = [e for stratum in json.loads(POOL.read_text())["strata"].values() for e in stratum]
+    assert len(entries) == 150
+    for e in entries:
+        g = class_group(Discriminant(e["d"]))
+        assert (g.h, g.structure, cl_mod_squares(g)[0], len(two_torsion(g))) == \
+            (e["h"], e["structure"], e["genus_order"], e["two_torsion"]), e["d"]
+        assert is_fundamental(e["d"]) == e["fundamental"], e["d"]
 
 
 def test_genus_count_of_a_strong_pseudoprime_discriminant():
@@ -122,9 +137,8 @@ def test_genus_count_of_a_strong_pseudoprime_discriminant():
     assert genus_count_from_factorization(Discriminant(-4 * 318665857834031151167461)) == 4
 
 
-def test_two_torsion_equals_genus_order():
-    for dv in discs(399):
-        g = class_group(Discriminant(dv))
+def test_two_torsion_equals_genus_order(class_groups):
+    for g in class_groups[:len(discs(399))]:
         assert len(two_torsion(g)) == cl_mod_squares(g)[0]
 
 
@@ -252,11 +266,10 @@ def _table_cl_mod_squares(g, t):
 
 
 @pytest.fixture(scope="module")
-def crt_tables():
+def crt_tables(class_groups):
     """(class_group(d), _crt_table of it) for every d in [-2000, -3], built
     once for the sweeps that only read them."""
-    groups = [class_group(Discriminant(dv)) for dv in discs(2000)]
-    return [(g, _crt_table(g)) for g in groups]
+    return [(g, _crt_table(g)) for g in class_groups[:len(discs(2000))]]
 
 
 def test_generator_extension_matches_cayley_table(crt_tables):
@@ -328,17 +341,26 @@ def test_smith_invariants():
         return sum((-1) ** j * m[0][j] * det([r[:j] + r[j + 1:] for r in m[1:]])
                    for j in range(len(m)))
 
+    def check(m):
+        n = len(m)
+        factors = [1] * (n - len(_smith_invariants(m))) + _smith_invariants(m)
+        for j in range(1, n + 1):
+            minors = [det([[m[r][c] for c in cols] for r in rows])
+                      for rows in itertools.combinations(range(n), j)
+                      for cols in itertools.combinations(range(n), j)]
+            assert math.prod(factors[:j]) == math.gcd(*minors), m
+
     rng = random.Random(4)
     for _ in range(300):
         m = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)]
-        if det(m) == 0:
-            continue
-        factors = [1] * (3 - len(_smith_invariants(m))) + _smith_invariants(m)
-        for j in range(1, 4):
-            minors = [det([[m[r][c] for c in cols] for r in rows])
-                      for rows in itertools.combinations(range(3), j)
-                      for cols in itertools.combinations(range(3), j)]
-            assert math.prod(factors[:j]) == math.gcd(*minors), m
+        if det(m) != 0:
+            check(m)
+    # the shape of class_group's relations: lower triangular, with the
+    # order of each generator modulo the earlier ones on the diagonal
+    for n, count in ((4, 100), (5, 40)):
+        for _ in range(count):
+            check([[rng.randint(-6, 6) for _ in range(t)] + [rng.randint(1, 9)] + [0] * (n - t - 1)
+                   for t in range(n)])
 
 
 def test_class_group_composes_about_h_times(monkeypatch):
@@ -469,9 +491,9 @@ def _class_group_by_composition(disc):
     return elements, coords, relations, _smith_invariants(relations)
 
 
-def test_inversion_matches_composition_loop():
-    for dv in discs(6000) + [-4000003]:
-        g = class_group(Discriminant(dv))
+def test_inversion_matches_composition_loop(class_groups):
+    for g in class_groups + [class_group(Discriminant(-4000003))]:
+        dv = g.disc.d
         assert (g.elements, g.coords, g.relations, g.structure) == \
             _class_group_by_composition(g.disc), dv
 

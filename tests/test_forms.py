@@ -21,7 +21,15 @@ from quadgenus.ideals import compose_via_matrices, form_to_ideal, ideal_mul, ide
 from quadgenus.lattice import mat_mul
 from quadgenus.normforms import MultiQuadraticForm, form_action
 
-from oracles import count_reduced, discs, every_pair, form_near_sqrt, ideal_route, random_disc
+from oracles import (
+    count_reduced,
+    discs,
+    every_pair,
+    form_near_sqrt,
+    ideal_route,
+    random_disc,
+    recorder,
+)
 
 D23 = Discriminant(-23)
 
@@ -105,10 +113,11 @@ def _enumerate_reduced_scan(disc):
     return out
 
 
-def test_enumerate_matches_ab_scan():
-    for dv in discs(6000):
-        d = Discriminant(dv)
-        assert [f.triple() for f in enumerate_reduced(d)] == _enumerate_reduced_scan(d), dv
+def test_enumerate_matches_ab_scan(class_groups):
+    # class_group's elements are enumerate_reduced's list, as it is
+    assert [g.disc.d for g in class_groups] == discs(6000)
+    for g in class_groups:
+        assert [f.triple() for f in g.elements] == _enumerate_reduced_scan(g.disc), g.disc.d
 
 
 def test_classical_class_numbers():
@@ -228,6 +237,61 @@ def test_composition_b_matches_search():
         assert composition_b(f.a, f.b, g.a, g.b, dv) == expected, (dv, f, g)
         pairs += 1
     assert pairs == 240907
+
+
+def test_a_coprime_pair_needs_one_xgcd(monkeypatch):
+    # gcd(a1, a2) = 1 gives e = 1 with no second xgcd
+    counted = recorder(forms_module._xgcd)
+    monkeypatch.setattr(forms_module, "_xgcd", counted)
+    seen = set()
+    for f, g in every_pair(discs(300)):
+        counted.calls.clear()
+        composition_b(f.a, f.b, g.a, g.b, f.disc.d)
+        coprime = math.gcd(f.a, g.a) == 1
+        assert len(counted.calls) == (1 if coprime else 2), (f, g)
+        seen.add(coprime)
+    assert seen == {True, False}
+
+
+def _cohen_composite(a1, b1, a2, b2, d):
+    # Cohen Alg. 5.4.7 as written, with both extended gcds
+    s = (b1 + b2) // 2
+    g1, x, y = _xgcd(a1, a2)
+    e, p, w = _xgcd(g1, s)
+    a3 = a1 * a2 // (e * e)
+    return a3, (p * x * a1 * b2 + p * y * a2 * b1 + w * ((b1 * b2 + d) // 2)) // e % (2 * a3)
+
+
+def _coprime_pair(rng, digits, s):
+    """(a1, b1, a2, b2, d), two primitive forms with gcd(a1, a2) = 1 and
+    (b1 + b2)/2 = s at a d of the given number of digits, seldom reduced:
+    d = b1^2 - 4*a1*c1 with a1*c1 = -s*(s - b1) (mod a2), so that a2
+    divides (b2^2 - d)/4 = s*(s - b1) + a1*c1."""
+    size = 10 ** (digits // 4)
+    while True:
+        a1, a2 = rng.randrange(size, 10 * size), rng.randrange(size, 10 * size)
+        if math.gcd(a1, a2) != 1:
+            continue
+        b1 = rng.randrange(-a1 + 1, a1 + 1)
+        b2 = 2 * s - b1
+        c1 = -s * (s - b1) * pow(a1, -1, a2) % a2 + a2 * rng.randrange(10 ** (digits // 2))
+        d = b1 * b1 - 4 * a1 * c1
+        c2, r = divmod(b2 * b2 - d, 4 * a2)
+        assert r == 0
+        if len(str(-d)) == digits and math.gcd(a1, b1, c1) == math.gcd(a2, b2, c2) == 1:
+            return a1, b1, a2, b2, d
+
+
+def test_coprime_composite_matches_cohen_formula():
+    # the one-xgcd shortcut against the formula with both, at 20 and 40
+    # digits: at s = -2, -1 and 1, where _xgcd(1, s) is not (1, 1, 0), and
+    # at s < -2, s = 0 and s >= 2, where it is
+    rng = random.Random(29)
+    for digits in (20, 40):
+        for _ in range(30):
+            for s in (-rng.randrange(3, 10**6), -2, -1, 0, 1, 2, rng.randrange(3, 10**6)):
+                a1, b1, a2, b2, d = _coprime_pair(rng, digits, s)
+                assert composition_b(a1, b1, a2, b2, d) == _cohen_composite(a1, b1, a2, b2, d)
 
 
 def test_composition_b_non_concordant_examples():
