@@ -8,14 +8,17 @@ comes from growing a subgroup one generator at a time (Buchmann-Schmidt,
 whose cosets are kept end to end in one flat list of element indices.
 Half of the cosets cost one CRT composition an element and the rest are
 their inverses, so about h/2 compositions give every class an exponent
-vector over the generators, and the Smith normal form of the small
-relation matrix, diagonalized in place, gives the invariant factors. The
-generator loop and the Cayley table compose (a, b) pairs with
-forms._compose_ab, which builds no form; the tests check it against
-compose_crt on every pair. Two-torsion
-is read off the ambiguous reduced forms and the quotient by squares off
-the exponent vectors mod 2, so neither composes. The Cayley table is
-built on demand only, by full pairwise composition.
+vector over the generators. One Smith elimination of the small relation
+matrix R, U*R*V = D in place, gives the invariant factors and, from its
+column transform V, each generator's genus: the quotient by squares is
+the sum of Z/2 over the even entries of D, and a class with exponent
+vector x lies in the genus x*V mod 2 there (Cohen, GTM 138, Sec. 2.4;
+Cox, Primes of the Form x^2 + ny^2, Sec. 3). The generator loop and the
+Cayley table compose (a, b) pairs with forms._compose_ab, which builds
+no form; the tests check it against compose_crt on every pair.
+Two-torsion is read off the ambiguous reduced forms and checks the count
+of genera, so neither composes. The Cayley table is built on demand
+only, by full pairwise composition.
 """
 
 from __future__ import annotations
@@ -41,9 +44,11 @@ class ClassGroup:
     elements[i] over the generators g_t, and relations has one row
     m_t*e_t - coords(g_t**m_t) per generator of order m_t modulo the
     earlier ones; table[i][j] is the index of elements[i] composed with
-    elements[j]."""
+    elements[j]. _genus[t], written by class_group, is the coset of the
+    squares that holds generator t, as a bitmask."""
 
-    __slots__ = ("disc", "elements", "structure", "index", "coords", "relations", "_table")
+    __slots__ = ("disc", "elements", "structure", "index", "coords", "relations",
+                 "_genus", "_table")
 
     def __init__(self, disc, elements, structure, index, coords, relations):
         self.disc = disc
@@ -90,14 +95,21 @@ class ClassGroup:
         return f"ClassGroup(d={self.disc.d}, h={self.h}, structure={self.structure})"
 
 
-def _smith_invariants(rows) -> list[int]:
-    """Invariant factors n1 | n2 | ... (those > 1) of Z^k modulo the rows
-    of a nonsingular k x k integer matrix: diagonalize in place, clearing
-    column t by unimodular row steps and row t by column steps until both
-    are zero off the diagonal, then replace each pair of diagonal entries
-    by their gcd and lcm."""
-    m = [list(r) for r in rows]
-    k = len(m)
+def _smith_invariants(rows):
+    """(invariant factors, genus images) of Z^k modulo the rows of a
+    nonsingular k x k integer matrix R.
+
+    Diagonalize in place, U*R*V = D: clear column t by unimodular row
+    steps and row t by column steps until both are zero off the diagonal.
+    The k identity rows kept below R see only the column steps, so they
+    end as V. Exponent vector x maps onto x*V in Z^k / D, so the genus of
+    x, its coset of the squares, is x*V mod 2 on the even entries of D
+    (Cohen, GTM 138, Sec. 2.4); images[i] is row i of V mod 2 on those
+    entries, as a bitmask. Last, each pair of diagonal entries becomes
+    their gcd and lcm, which keeps the count of even ones; the invariant
+    factors n1 | n2 | ... are those > 1."""
+    k = len(rows)
+    m = [list(r) for r in rows] + [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)]
     for t in range(k):
         while True:
             for i in range(t + 1, k):
@@ -119,12 +131,16 @@ def _smith_invariants(rows) -> list[int]:
                     g, x, y = _xgcd(p, c)
                     for r in m:
                         r[t], r[i] = x * r[t] + y * r[i], c // g * r[t] - p // g * r[i]
+    images = [0] * k
+    for t in [t for t in range(k) if m[t][t] % 2 == 0]:
+        for i in range(k):
+            images[i] |= m[k + i][t] % 2 << t
     n = [abs(m[t][t]) for t in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
             g = math.gcd(n[i], n[j])
             n[i], n[j] = g, n[i] * n[j] // g
-    return [v for v in n if v > 1]
+    return [v for v in n if v > 1], images
 
 
 def _inverse(index, f, x):
@@ -212,10 +228,12 @@ def class_group(disc: Discriminant) -> ClassGroup:
         row = [-e for e in img] + [0] * (n - len(img))
         row[t] += m
         relations.append(tuple(row))
-    structure = _smith_invariants(relations)
+    structure, genus = _smith_invariants(relations)
     if math.prod(structure) != h:
         raise AssertionError("invariant factors must multiply to the class number")
-    return ClassGroup(disc, elements, structure, index, coords, relations)
+    group = ClassGroup(disc, elements, structure, index, coords, relations)
+    group._genus = genus
+    return group
 
 
 def two_torsion(group: ClassGroup) -> list[BinaryForm]:
@@ -228,51 +246,36 @@ def two_torsion(group: ClassGroup) -> list[BinaryForm]:
 
 
 def cl_mod_squares(group: ClassGroup):
-    """(order, coset representatives) of the quotient by the squares.
+    """(order, coset representatives) of the quotient by the squares: the
+    genera.
 
     The representative of each coset is its lexicographically least reduced
-    form; the order equals 2**(number of even invariant factors), the
-    genus count of genus_count_from_factorization.
-    Cosets are keyed by the exponent vector mod 2, reduced against the
-    relation rows mod 2 (echelon form over GF(2) on bitmasks). That
-    reduction is linear, so each generator's unit vector is reduced once
-    and a class's key is the XOR of the images of its odd exponents.
+    form. A class's coset is keyed by the XOR of the genus images of its
+    odd exponents, which class_group read off the Smith form's column
+    transform, so nothing is eliminated here. The cosets must have one
+    size; their count must equal |Cl[2]|, the number of ambiguous classes,
+    which two_torsion reads off the forms alone; and it must equal
+    2**(number of even invariant factors), the genus count of
+    genus_count_from_factorization.
     """
-    basis = []  # GF(2) echelon rows, descending, with distinct leading bits
-    for row in group.relations:
-        v = _mod2(row, basis)
-        if v:
-            basis = sorted(basis + [v], reverse=True)
-    images = [_mod2((0,) * t + (1,), basis) for t in range(len(group.relations))]
     sizes = {}
     reps = []
     for f, c in zip(group.elements, group.coords):  # (a, b)-sorted
         v = 0
-        for e, image in zip(c, images):
+        for e, image in zip(c, group._genus):
             if e % 2:
                 v ^= image
         if v not in sizes:
-            sizes[v] = 0
             reps.append(f)
-        sizes[v] += 1
+        sizes[v] = sizes.get(v, 0) + 1
     order = len(reps)
-    for s in sizes.values():
-        if s * order != group.h:
-            raise AssertionError("cosets of the squares differ in size")
+    if len(set(sizes.values())) > 1:
+        raise AssertionError("cosets of the squares differ in size")
+    if order != len(two_torsion(group)):
+        raise AssertionError("squares quotient disagrees with two-torsion")
     if order != 2 ** len([n for n in group.structure if n % 2 == 0]):
         raise AssertionError("squares quotient disagrees with the invariant factors")
     return order, reps
-
-
-def _mod2(vector, basis) -> int:
-    """The vector mod 2 as a bitmask, reduced against an echelon basis."""
-    v = 0
-    for t, e in enumerate(vector):
-        if e % 2:
-            v |= 1 << t
-    for b in basis:
-        v = min(v, v ^ b)
-    return v
 
 
 def genus_count_from_factorization(disc: Discriminant) -> int:

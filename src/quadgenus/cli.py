@@ -25,7 +25,7 @@ import sys
 
 from .arith import Discriminant, DomainError, QuadInt
 from .classgroup import cl_mod_squares, class_group, two_torsion
-from .forms import BinaryForm, compose_crt, enumerate_reduced, reduce_form
+from .forms import ENUMERATION_LIMIT, BinaryForm, compose_crt, enumerate_reduced, reduce_form
 from .ideals import OrderIdeal, compose_via_matrices, form_to_ideal, ideal_mul, ideal_to_form
 from .lattice import GenTuple, check_matrix, solve_transform
 from .normforms import MultiQuadraticForm, form_action, norm_form
@@ -210,6 +210,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _cmd_verify(args, _disc):
     lo, hi = _parse_range(args["range"])
+    if -hi > ENUMERATION_LIMIT:  # fail before the sweep, not once it gets there
+        raise DomainError(f"|d| = {-hi} is past the enumeration limit |d| <= {ENUMERATION_LIMIT}")
     samples = args["samples"]
     if samples < 0:
         raise UsageError(f"--samples must be >= 0, got {samples}")

@@ -18,6 +18,7 @@ __all__ = [
     "BinaryForm",
     "reduce_form",
     "enumerate_reduced",
+    "ENUMERATION_LIMIT",
     "principal_form",
     "form_inverse",
     "is_equivalent",
@@ -104,6 +105,15 @@ def is_equivalent(f: BinaryForm, g: BinaryForm) -> bool:
     return reduce_form(f)[0] == reduce_form(g)[0]
 
 
+# The largest |d| that enumerate_reduced accepts. Its loop is Theta(|d|)
+# and slowest at d = 1 (mod 8), where every a is tried: on CPython 3.11,
+# 2-CPU x86 Linux, d = -2*10^9 - 7 took 6.3 s and d = -3*10^9 - 7 took
+# 10.3 s, so the limit keeps every accepted d under 10 s with room for a
+# slower machine. class_group and the CLI's enumerate, classgroup, genus
+# and verify inherit it.
+ENUMERATION_LIMIT = 2 * 10**9
+
+
 def enumerate_reduced(disc: Discriminant) -> list[BinaryForm]:
     """All reduced primitive forms of the discriminant, sorted by (a, b).
 
@@ -113,9 +123,11 @@ def enumerate_reduced(disc: Discriminant) -> list[BinaryForm]:
     reduced unless b = 0, b = a or a = c. An odd q has no even divisor, so
     then only odd a are tried. Every q is odd when d = 5 (mod 8) and every
     q is even when d = 1 (mod 8), which keeps the full scan; for 4 | d it
-    depends on b.
+    depends on b. Past ENUMERATION_LIMIT on |d| it raises DomainError.
     """
     d = disc.d
+    if -d > ENUMERATION_LIMIT:
+        raise DomainError(f"|d| = {-d} is past the enumeration limit |d| <= {ENUMERATION_LIMIT}")
     out = []
     for b in range(d % 2, math.isqrt(-d // 3) + 1, 2):
         q = (b * b - d) // 4

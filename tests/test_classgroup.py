@@ -287,16 +287,34 @@ def test_table_matches_compose_crt(crt_tables):
         assert g.table == t, g.disc.d
 
 
-def test_squares_quotient_reduces_each_generator_once(monkeypatch):
-    # reduction mod the GF(2) basis is linear: one call per relation row and
-    # one per generator's unit vector, however many classes there are
-    counted = recorder(classgroup._mod2)
-    monkeypatch.setattr(classgroup, "_mod2", counted)
+def test_genera_are_the_cosets_of_the_squares(crt_tables):
+    # test_generator_extension_matches_cayley_table checks cl_mod_squares'
+    # count and representatives against the table; here the genus key of
+    # every class, the XOR of the images of its odd exponents, must name
+    # its coset of the squares, the diagonal of the table, one to one
+    for g, t in crt_tables:
+        squares = {t[i][i] for i in range(g.h)}
+        cosets = [frozenset(t[i][s] for s in squares) for i in range(g.h)]
+        keys = []
+        for c in g.coords:
+            key = 0
+            for e, image in zip(c, g._genus):
+                key ^= image * (e % 2)
+            keys.append(key)
+        assert len(set(keys)) == len(set(cosets)) == len(set(zip(keys, cosets))), g.disc.d
+
+
+def test_one_smith_elimination_per_group(monkeypatch):
+    # class_group eliminates the relation matrix once, and the genera are
+    # read off its column transform with no elimination of their own
+    counted = recorder(classgroup._smith_invariants)
+    monkeypatch.setattr(classgroup, "_smith_invariants", counted)
     for dv in (-5460, -4000003):
-        g = class_group(Discriminant(dv))
         counted.calls.clear()
+        g = class_group(Discriminant(dv))
+        assert counted.calls == [(g.relations,)], dv
         cl_mod_squares(g)
-        assert len(counted.calls) <= 2 * len(g.relations), dv
+        assert len(counted.calls) == 1, dv
 
 
 def test_exponent_vectors_compose_like_the_table():
@@ -325,14 +343,17 @@ def test_exponent_vectors_compose_like_the_table():
 
 
 def test_smith_invariants():
-    assert _smith_invariants([]) == []
-    assert _smith_invariants([[6]]) == [6]
-    assert _smith_invariants([[2, 0], [0, 3]]) == [6]
-    assert _smith_invariants([[4, 0], [-2, 2]]) == [2, 4]
-    assert _smith_invariants([[2, 0, 0], [0, 4, 0], [0, 0, 6]]) == [2, 2, 12]
-    assert _smith_invariants([[12, 0], [-6, 2]]) == [2, 12]
-    assert _smith_invariants([[0, 3], [5, 0]]) == [15]
-    assert _smith_invariants([[2, 4], [-2, 4]]) == [2, 8]
+    def invariants(m):
+        return _smith_invariants(m)[0]
+
+    assert _smith_invariants([]) == ([], [])
+    assert invariants([[6]]) == [6]
+    assert invariants([[2, 0], [0, 3]]) == [6]
+    assert invariants([[4, 0], [-2, 2]]) == [2, 4]
+    assert invariants([[2, 0, 0], [0, 4, 0], [0, 0, 6]]) == [2, 2, 12]
+    assert invariants([[12, 0], [-6, 2]]) == [2, 12]
+    assert invariants([[0, 3], [5, 0]]) == [15]
+    assert invariants([[2, 4], [-2, 4]]) == [2, 8]
 
     # against the determinantal divisors: n1*...*nj = gcd of the j x j minors
     def det(m):
@@ -343,12 +364,25 @@ def test_smith_invariants():
 
     def check(m):
         n = len(m)
-        factors = [1] * (n - len(_smith_invariants(m))) + _smith_invariants(m)
+        invariant, images = _smith_invariants(m)
+        factors = [1] * (n - len(invariant)) + invariant
         for j in range(1, n + 1):
             minors = [det([[m[r][c] for c in cols] for r in rows])
                       for rows in itertools.combinations(range(n), j)
                       for cols in itertools.combinations(range(n), j)]
             assert math.prod(factors[:j]) == math.gcd(*minors), m
+        # the images map Z^n onto (Z/2)^e, e the number of even factors, and
+        # kill every row: so they are the quotient of Z^n / rows by squares
+        assert len(images) == n
+        for row in m:
+            key = 0
+            for e, image in zip(row, images):
+                key ^= image * (e % 2)
+            assert key == 0, m
+        span = {0}
+        for image in images:
+            span |= {v ^ image for v in span}
+        assert len(span) == 2 ** len([f for f in factors if f % 2 == 0]), m
 
     rng = random.Random(4)
     for _ in range(300):
@@ -488,7 +522,7 @@ def _class_group_by_composition(disc):
         row = [-e for e in img] + [0] * (n - len(img))
         row[t] += m
         relations.append(tuple(row))
-    return elements, coords, relations, _smith_invariants(relations)
+    return elements, coords, relations, _smith_invariants(relations)[0]
 
 
 def test_inversion_matches_composition_loop(class_groups):
@@ -552,8 +586,17 @@ def _drop_the_last_class(g):
     g.elements = g.elements[:-1]  # (2,2,11) * (3,0,7) = (5,4,5) is missing
 
 
+def _put_every_class_in_one_genus(g):
+    g._genus = [0] * len(g._genus)  # one coset of size 4, not four of size 1
+
+
 _TAMPERED = [
     (_give_two_classes_one_vector, cl_mod_squares, "cosets of the squares differ in size"),
+    (
+        _put_every_class_in_one_genus,
+        cl_mod_squares,
+        "squares quotient disagrees with two-torsion",
+    ),
     (
         _claim_a_cyclic_structure,
         cl_mod_squares,
@@ -571,7 +614,7 @@ _TAMPERED = [
 @pytest.mark.parametrize(
     "tamper,run,message",
     _TAMPERED,
-    ids=["coords", "structure", "elements-order", "elements-missing"],
+    ids=["coords", "genus", "structure", "elements-order", "elements-missing"],
 )
 def test_tampered_group_fails_its_invariant_check(tamper, run, message):
     g = class_group(Discriminant(-84))
@@ -594,7 +637,7 @@ def _compose_to_the_principal_class(monkeypatch):
 
 
 def _claim_order_five(monkeypatch):
-    monkeypatch.setattr(classgroup, "_smith_invariants", lambda rows: [5])
+    monkeypatch.setattr(classgroup, "_smith_invariants", lambda rows: ([5], [0] * len(rows)))
 
 
 @pytest.mark.parametrize(
@@ -614,17 +657,19 @@ def test_tampered_generator_loop_fails_its_invariant_check(monkeypatch, tamper, 
 
 
 def test_tampered_group_fails_its_invariant_check_under_O():
-    # the squares check in a child run with assert statements compiled out
+    # the squares checks in a child run with assert statements compiled out
     code = "\n".join([
         "from quadgenus.arith import Discriminant",
         "from quadgenus.classgroup import class_group, cl_mod_squares",
-        "g = class_group(Discriminant(-84))",
-        "g.structure = [4]",
-        "try:",
-        "    cl_mod_squares(g)",
-        "except AssertionError as exc:",
-        "    print(exc)",
+        "for field, value in (('_genus', [0, 0]), ('structure', [4])):",
+        "    g = class_group(Discriminant(-84))",
+        "    setattr(g, field, value)",
+        "    try:",
+        "        cl_mod_squares(g)",
+        "    except AssertionError as exc:",
+        "        print(exc)",
     ])
     proc = run_child("-O", "-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "squares quotient disagrees with the invariant factors\n"
+    assert proc.stdout == ("squares quotient disagrees with two-torsion\n"
+                           "squares quotient disagrees with the invariant factors\n")

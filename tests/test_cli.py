@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
+import quadgenus.cli as cli
+import quadgenus.forms as forms
 from quadgenus.cli import main
 from quadgenus.forms import principal_form
 
-from oracles import run_child
+from oracles import recorder, run_child
 
 # Every subcommand in text and JSON format plus some error cases, each with
 # its exact exit code, stdout and stderr.
@@ -230,6 +232,28 @@ def test_domain_errors_exit_1(capsys):
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == f"dimension mismatch: {size}x{size} matrix on 2 variables"
+
+
+def test_enumeration_limit_exits_1(capsys, monkeypatch):
+    # with the limit patched down to 100, d = -100 sits on it and -103 is
+    # the next discriminant past it
+    monkeypatch.setattr(forms, "ENUMERATION_LIMIT", 100)
+    monkeypatch.setattr(cli, "ENUMERATION_LIMIT", 100)
+    past = "|d| = 103 is past the enumeration limit |d| <= 100"
+    for command, option in (("enumerate", "-d"), ("classgroup", "-d"), ("genus", "-d"),
+                            ("verify", "--range")):
+        edge, beyond = ("-4..-100", "-4..-103") if command == "verify" else ("-100", "-103")
+        code, out, err = run_cli(capsys, command, option, edge)
+        assert (code, err) == (0, ""), command
+        assert out
+        code, out, err = run_cli(capsys, command, option, beyond)
+        assert (code, out) == (1, ""), command
+        assert json.loads(err) == {"status": "error", "command": command, "error": past}
+    # verify checks the far end of its range before it enumerates anything
+    counted = recorder(forms.enumerate_reduced)
+    monkeypatch.setattr(cli, "enumerate_reduced", counted)
+    assert run_cli(capsys, "verify", "--range", "-4..-103")[0] == 1
+    assert counted.calls == []
 
 
 def test_usage_errors_exit_2(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 import quadgenus.forms as forms_module
 from quadgenus.arith import Discriminant, DomainError, _xgcd
+from quadgenus.classgroup import class_group
 from quadgenus.forms import (
     BinaryForm,
     compose_crt,
@@ -124,6 +125,18 @@ def test_classical_class_numbers():
     known = {-3: 1, -4: 1, -23: 3, -47: 5, -71: 7, -84: 4, -163: 1, -20: 2}
     for dv, h in known.items():
         assert len(enumerate_reduced(Discriminant(dv))) == h
+
+
+def test_enumeration_limit_at_its_edge(monkeypatch):
+    # with the limit patched down to 100, d = -100 sits on it and -103 is
+    # the next discriminant past it; class_group enumerates through it
+    monkeypatch.setattr(forms_module, "ENUMERATION_LIMIT", 100)
+    assert len(enumerate_reduced(Discriminant(-100))) == count_reduced(-100) == 2
+    assert class_group(Discriminant(-100)).h == 2
+    for run in (enumerate_reduced, class_group):
+        with pytest.raises(DomainError) as info:
+            run(Discriminant(-103))
+        assert str(info.value) == "|d| = 103 is past the enumeration limit |d| <= 100"
 
 
 def test_principal_inverse_equivalent():
