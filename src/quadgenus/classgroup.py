@@ -18,23 +18,32 @@ Cayley table compose (a, b) pairs with forms._compose_ab, which builds
 no form; the tests check it against compose_crt on every pair.
 Two-torsion is read off the ambiguous reduced forms and checks the count
 of genera, so neither composes. The Cayley table is built on demand
-only, by full pairwise composition.
+only, by full pairwise composition, and only for h <= TABLE_LIMIT.
 """
 
 from __future__ import annotations
 
 import math
 
-from .arith import Discriminant, _xgcd, factorize
+from .arith import Discriminant, DomainError, _xgcd, factorize
 from .forms import BinaryForm, _compose_ab, enumerate_reduced, principal_form, reduce_form
 
 __all__ = [
     "ClassGroup",
+    "TABLE_LIMIT",
     "class_group",
     "two_torsion",
     "cl_mod_squares",
     "genus_count_from_factorization",
 ]
+
+# The largest class number h whose Cayley table ClassGroup.table builds.
+# The table takes h(h+1)/2 compositions and holds h^2 entries: on CPython
+# 3.11, 2-CPU x86 Linux, it took 1.05 s at h = 779, 3.5-4.9 s at h = 1440
+# and 11.7 s at h = 2592, and classgroup --table at h = 1440 ran 4.3 s at
+# a 202 MB peak, so the limit keeps an accepted table under 10 s with room
+# for a slower machine.
+TABLE_LIMIT = 1500
 
 
 class ClassGroup:
@@ -44,19 +53,20 @@ class ClassGroup:
     elements[i] over the generators g_t, and relations has one row
     m_t*e_t - coords(g_t**m_t) per generator of order m_t modulo the
     earlier ones; table[i][j] is the index of elements[i] composed with
-    elements[j]. _genus[t], written by class_group, is the coset of the
-    squares that holds generator t, as a bitmask."""
+    elements[j]. _genus[t], the constructor's genus argument, is the
+    coset of the squares that holds generator t, as a bitmask."""
 
     __slots__ = ("disc", "elements", "structure", "index", "coords", "relations",
                  "_genus", "_table")
 
-    def __init__(self, disc, elements, structure, index, coords, relations):
+    def __init__(self, disc, elements, structure, index, coords, relations, genus):
         self.disc = disc
         self.elements = elements
         self.structure = structure
         self.index = index
         self.coords = coords
         self.relations = relations
+        self._genus = genus
         self._table = None
 
     @property
@@ -66,9 +76,12 @@ class ClassGroup:
     @property
     def table(self) -> list[list[int]]:
         """Built on first use from h(h+1)/2 compositions and checked: the
-        principal row is the identity, every row a permutation."""
+        principal row is the identity, every row a permutation. Past
+        TABLE_LIMIT on h it raises DomainError before composing any pair."""
         if self._table is None:
             h, elements, index, d = self.h, self.elements, self.index, self.disc.d
+            if h > TABLE_LIMIT:
+                raise DomainError(f"h = {h} is past the Cayley table limit h <= {TABLE_LIMIT}")
             table = [[0] * h for _ in range(h)]
             for i in range(h):
                 f = elements[i]
@@ -148,21 +161,21 @@ def _inverse(index, f, x):
     return index.get((f.a, -f.b), x)
 
 
-def _carry(v, found):
-    """An exponent vector brought into 0 <= e_u < m_u by the relations
-    g_u**m_u = prod g_w**img_u[w], from the last generator down."""
+def _carry(v, relations):
+    """An exponent vector brought into 0 <= e_u < m_u = row u's entry u,
+    from the last generator down, by subtracting multiples of that row."""
     v = list(v)
     for u in reversed(range(len(v))):
-        m, img = found[u]
-        q, v[u] = divmod(v[u], m)
-        for w, e in enumerate(img):
-            v[w] += q * e
+        row = relations[u]
+        q = v[u] // row[u]
+        for w, e in enumerate(row):
+            v[w] -= q * e
     return tuple(v)
 
 
 def class_group(disc: Discriminant) -> ClassGroup:
-    """Elements, exponent vectors over generators, and invariant factors
-    for one discriminant, in about h/2 compositions.
+    """Elements, exponent vectors over generators, relation rows and
+    invariant factors for one discriminant, in about h/2 compositions.
 
     The cosets g**j * S of the subgroup S, k = |S| classes each, sit end to
     end in one list: position j*k + i holds g**j * S[i], whose vector is
@@ -180,13 +193,13 @@ def class_group(disc: Discriminant) -> ClassGroup:
     coords = [None] * h
     coords[0] = ()
     sub = [0]  # the subgroup found so far, as element indices, coset by coset
-    found = []  # (m_t, exponent vector of g_t**m_t) per generator g_t
+    relations = []  # m_t*e_t - (vector of g_t**m_t) per generator g_t
     nxt = 1
     while len(sub) < h:
         while coords[nxt] is not None:
             nxt += 1
         ga, gb = ab[nxt]
-        t, k = len(found), len(sub)
+        t, k = len(relations), len(sub)
         # base[i]: the vector of sub[i] over the t earlier generators
         base = [coords[x] + (0,) * (t - len(coords[x])) for x in sub]
         j, lead = 1, nxt  # composed cosets are led by g**j
@@ -212,7 +225,7 @@ def class_group(disc: Discriminant) -> ClassGroup:
         if len(sub) < m * k:
             # position i of coset j inverts position i of coset m - j, so
             # its vector is carry(s - base[i]) with j appended
-            rest = [_carry([a - b for a, b in zip(s, v)], found) for v in base]
+            rest = [_carry([a - b for a, b in zip(s, v)], relations) for v in base]
             for j in range(len(sub) // k, m):
                 for x, v in zip(sub[(m - j) * k:(m - j + 1) * k], rest):
                     y = _inverse(index, elements[x], x)
@@ -220,20 +233,14 @@ def class_group(disc: Discriminant) -> ClassGroup:
                         raise AssertionError("inverted class already has an exponent vector")
                     coords[y] = v + (j,)
                     sub.append(y)
-        found.append((m, _carry([-a for a in s], found)))
-    n = len(found)
+        relations.append(tuple([-e for e in _carry([-a for a in s], relations)]) + (m,))
+    n = len(relations)
     coords = [c + (0,) * (n - len(c)) for c in coords]
-    relations = []
-    for t, (m, img) in enumerate(found):
-        row = [-e for e in img] + [0] * (n - len(img))
-        row[t] += m
-        relations.append(tuple(row))
+    relations = [r + (0,) * (n - len(r)) for r in relations]
     structure, genus = _smith_invariants(relations)
     if math.prod(structure) != h:
         raise AssertionError("invariant factors must multiply to the class number")
-    group = ClassGroup(disc, elements, structure, index, coords, relations)
-    group._genus = genus
-    return group
+    return ClassGroup(disc, elements, structure, index, coords, relations, genus)
 
 
 def two_torsion(group: ClassGroup) -> list[BinaryForm]:

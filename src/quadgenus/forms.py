@@ -114,6 +114,11 @@ def is_equivalent(f: BinaryForm, g: BinaryForm) -> bool:
 ENUMERATION_LIMIT = 2 * 10**9
 
 
+def _check_enumeration_limit(d: int) -> None:
+    if -d > ENUMERATION_LIMIT:
+        raise DomainError(f"|d| = {-d} is past the enumeration limit |d| <= {ENUMERATION_LIMIT}")
+
+
 def enumerate_reduced(disc: Discriminant) -> list[BinaryForm]:
     """All reduced primitive forms of the discriminant, sorted by (a, b).
 
@@ -126,8 +131,7 @@ def enumerate_reduced(disc: Discriminant) -> list[BinaryForm]:
     depends on b. Past ENUMERATION_LIMIT on |d| it raises DomainError.
     """
     d = disc.d
-    if -d > ENUMERATION_LIMIT:
-        raise DomainError(f"|d| = {-d} is past the enumeration limit |d| <= {ENUMERATION_LIMIT}")
+    _check_enumeration_limit(d)
     out = []
     for b in range(d % 2, math.isqrt(-d // 3) + 1, 2):
         q = (b * b - d) // 4

@@ -9,7 +9,7 @@ import pytest
 
 import quadgenus.classgroup as classgroup
 import quadgenus.forms as forms
-from quadgenus.arith import Discriminant
+from quadgenus.arith import Discriminant, DomainError
 from quadgenus.classgroup import (
     _smith_invariants,
     cl_mod_squares,
@@ -317,29 +317,44 @@ def test_one_smith_elimination_per_group(monkeypatch):
         assert len(counted.calls) == 1, dv
 
 
+def _normal(v, relations):
+    """The normal form of v modulo the relation rows: the relation matrix
+    is lower triangular, so clear from the last coordinate down."""
+    v = list(v)
+    for t in reversed(range(len(relations))):
+        q = v[t] // relations[t][t]
+        v = [x - q * y for x, y in zip(v, relations[t])]
+    return tuple(v)
+
+
 def test_exponent_vectors_compose_like_the_table():
     # coords is a homomorphism onto Z^k / relations: adding the vectors of
     # two classes lands on their product, modulo the relation rows
     for dv in (-84, -231, -455, -480, -5460, -1155, -3299):
         g = class_group(Discriminant(dv))
-        k = len(g.relations)
-        diag = [r[t] for t, r in enumerate(g.relations)]
-
-        def normal(v):
-            # the relation matrix is lower triangular: clear from the last
-            # coordinate down
-            v = list(v)
-            for t in reversed(range(k)):
-                q = v[t] // diag[t]
-                v = [x - q * y for x, y in zip(v, g.relations[t])]
-            return tuple(v)
-
-        assert len({normal(c) for c in g.coords}) == g.h
+        rows = g.relations
+        assert len({_normal(c, rows) for c in g.coords}) == g.h
         t = _crt_table(g)
         for i in range(g.h):
             for j in range(g.h):
                 s = [x + y for x, y in zip(g.coords[i], g.coords[j])]
-                assert normal(s) == normal(g.coords[t[i][j]])
+                assert _normal(s, rows) == _normal(g.coords[t[i][j]], rows)
+
+
+def test_carry_reduces_by_the_relation_rows(class_groups):
+    # _carry works on the rows class_group returns: each row carries to
+    # zero, and a carried vector lies in 0 <= e_u < m_u with its normal form
+    rng = random.Random(5)
+    for g in class_groups:
+        k = len(g.relations)
+        diag = [r[t] for t, r in enumerate(g.relations)]
+        for row in g.relations:
+            assert classgroup._carry(row, g.relations) == (0,) * k, g.disc.d
+        for _ in range(3):
+            v = [rng.randint(-60, 60) for _ in range(k)]
+            c = classgroup._carry(v, g.relations)
+            assert all(0 <= e < m for e, m in zip(c, diag)), (g.disc.d, v)
+            assert _normal(c, g.relations) == _normal(v, g.relations), (g.disc.d, v)
 
 
 def test_smith_invariants():
@@ -551,6 +566,20 @@ def test_power_whose_inverse_lies_in_the_old_subgroup_raises(monkeypatch):
     monkeypatch.setattr(classgroup, "_inverse", lambda index, f, x: 0)
     with pytest.raises(AssertionError, match="lies in the old subgroup"):
         class_group(Discriminant(-23))
+
+
+def test_table_limit_at_its_edge(monkeypatch):
+    # with the limit patched down to 4, h(-84) = 4 sits on it and h(-47) = 5
+    # is past it, which fails before composing any pair
+    monkeypatch.setattr(classgroup, "TABLE_LIMIT", 4)
+    assert len(class_group(Discriminant(-84)).table) == 4
+    g = class_group(Discriminant(-47))
+    counted = recorder(classgroup._compose_ab)
+    monkeypatch.setattr(classgroup, "_compose_ab", counted)
+    with pytest.raises(DomainError) as info:
+        g.table
+    assert str(info.value) == "h = 5 is past the Cayley table limit h <= 4"
+    assert counted.calls == [] and g._table is None
 
 
 def test_large_class_group_within_time_bound():

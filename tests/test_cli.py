@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import quadgenus.classgroup as classgroup
 import quadgenus.cli as cli
 import quadgenus.forms as forms
 from quadgenus.cli import main
@@ -238,7 +239,6 @@ def test_enumeration_limit_exits_1(capsys, monkeypatch):
     # with the limit patched down to 100, d = -100 sits on it and -103 is
     # the next discriminant past it
     monkeypatch.setattr(forms, "ENUMERATION_LIMIT", 100)
-    monkeypatch.setattr(cli, "ENUMERATION_LIMIT", 100)
     past = "|d| = 103 is past the enumeration limit |d| <= 100"
     for command, option in (("enumerate", "-d"), ("classgroup", "-d"), ("genus", "-d"),
                             ("verify", "--range")):
@@ -254,6 +254,21 @@ def test_enumeration_limit_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "enumerate_reduced", counted)
     assert run_cli(capsys, "verify", "--range", "-4..-103")[0] == 1
     assert counted.calls == []
+
+
+def test_table_limit_exits_1(capsys, monkeypatch):
+    # with the limit patched down to 4, h(-84) = 4 sits on it and h(-47) = 5
+    # is past it; without --table the group is printed as before
+    monkeypatch.setattr(classgroup, "TABLE_LIMIT", 4)
+    past = "h = 5 is past the Cayley table limit h <= 4"
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "--format", fmt, "classgroup", "-d", "-84", "--table")
+        assert (code, err) == (0, ""), fmt
+        assert "table" in out
+        code, out, err = run_cli(capsys, "--format", fmt, "classgroup", "-d", "-47", "--table")
+        assert (code, out) == (1, ""), fmt
+        assert json.loads(err) == {"status": "error", "command": "classgroup", "error": past}
+        assert run_cli(capsys, "--format", fmt, "classgroup", "-d", "-47")[0] == 0, fmt
 
 
 def test_usage_errors_exit_2(capsys):

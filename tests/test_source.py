@@ -285,6 +285,27 @@ def test_classgroup_composes_only_through_the_forms_kernel():
     assert defined == ["forms.py"]
 
 
+def test_class_groups_are_built_whole():
+    # classgroup.py stores attributes only on self inside ClassGroup: the
+    # constructor takes every field, and no function writes onto a group
+    tree = ast.parse((SRC / "classgroup.py").read_text(), "classgroup.py")
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ClassGroup")
+    on_self = {
+        node
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and getattr(node.value, "id", None) == "self"
+    }
+    stores = [
+        f"classgroup.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and node not in on_self)
+        or (isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("setattr", "delattr"))
+    ]
+    assert on_self and stores == []
+
+
 def test_the_order_norm_form_has_one_spelling():
     # binary only; in m variables it is norm_form(integral_tuple(disc, m))
     assert list(inspect.signature(normforms.principal_norm_form).parameters) == ["disc"]
