@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .arith import Discriminant, DomainError, _xgcd, factorize
+from .arith import Discriminant, DomainError, factorize
 from .forms import BinaryForm, _compose_ab, enumerate_reduced, principal_form, reduce_form
 
 __all__ = [
@@ -112,10 +112,17 @@ def _smith_invariants(rows):
     """(invariant factors, genus images) of Z^k modulo the rows of a
     nonsingular k x k integer matrix R.
 
-    Diagonalize in place, U*R*V = D: clear column t by unimodular row
-    steps and row t by column steps until both are zero off the diagonal.
-    The k identity rows kept below R see only the column steps, so they
-    end as V. Exponent vector x maps onto x*V in Z^k / D, so the genus of
+    Diagonalize in place, U*R*V = D: clear column t by row steps and row
+    t by column steps until both are zero off the diagonal. Each step is
+    one Euclid step against the pivot p = m[t][t]: subtract q = c // p
+    times line t (q = 0 when p = 0) from the line whose entry is c, and
+    swap the two, so the remainder becomes the pivot and p moves out. It
+    repeats until the entry is 0. A remainder of 0 is swapped straight
+    back on the next step, leaving line t as it was; any other remainder
+    is smaller than |p|. So each entry's loop ends, and a round that
+    refills column t has shrunk |p|, so the rounds end too. The k
+    identity rows kept below R see only the column steps, so they end
+    as V. Exponent vector x maps onto x*V in Z^k / D, so the genus of
     x, its coset of the squares, is x*V mod 2 on the even entries of D
     (Cohen, GTM 138, Sec. 2.4); images[i] is row i of V mod 2 on those
     entries, as a bitmask. Last, each pair of diagonal entries becomes
@@ -126,24 +133,16 @@ def _smith_invariants(rows):
     for t in range(k):
         while True:
             for i in range(t + 1, k):
-                p, c = m[t][t], m[i][t]
-                if c and p and c % p == 0:
-                    m[i] = [y - c // p * x for x, y in zip(m[t], m[i])]
-                elif c:
-                    g, x, y = _xgcd(p, c)
-                    m[t], m[i] = ([x * u + y * v for u, v in zip(m[t], m[i])],
-                                  [c // g * u - p // g * v for u, v in zip(m[t], m[i])])
+                while m[i][t]:
+                    q = m[i][t] // m[t][t] if m[t][t] else 0
+                    m[t], m[i] = [y - q * x for x, y in zip(m[t], m[i])], m[t]
             if not any(m[t][t + 1:]):
                 break  # column t is clear, and now row t too
             for i in range(t + 1, k):
-                p, c = m[t][t], m[t][i]
-                if c and p and c % p == 0:
+                while m[t][i]:
+                    q = m[t][i] // m[t][t] if m[t][t] else 0
                     for r in m:
-                        r[i] -= c // p * r[t]
-                elif c:
-                    g, x, y = _xgcd(p, c)
-                    for r in m:
-                        r[t], r[i] = x * r[t] + y * r[i], c // g * r[t] - p // g * r[i]
+                        r[t], r[i] = r[i] - q * r[t], r[t]
     images = [0] * k
     for t in [t for t in range(k) if m[t][t] % 2 == 0]:
         for i in range(k):
@@ -151,8 +150,7 @@ def _smith_invariants(rows):
     n = [abs(m[t][t]) for t in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            g = math.gcd(n[i], n[j])
-            n[i], n[j] = g, n[i] * n[j] // g
+            n[i], n[j] = math.gcd(n[i], n[j]), math.lcm(n[i], n[j])
     return [v for v in n if v > 1], images
 
 

@@ -24,7 +24,7 @@ import re
 import sys
 
 from .arith import Discriminant, DomainError, QuadInt
-from .classgroup import cl_mod_squares, class_group, two_torsion
+from .classgroup import ClassGroup, cl_mod_squares, class_group, two_torsion
 from .forms import BinaryForm, _check_enumeration_limit, compose_crt, enumerate_reduced, reduce_form
 from .ideals import OrderIdeal, compose_via_matrices, form_to_ideal, ideal_mul, ideal_to_form
 from .lattice import GenTuple, check_matrix, solve_transform
@@ -94,7 +94,8 @@ def _parse_matrix(text: str):
 
 def _stringify(value):
     """JSON-ready copy of a result: integers as decimal strings, forms,
-    ideals and norm forms as objects of their fields."""
+    ideals and norm forms as objects of their fields, and a class group as
+    its Cayley table, whose h^2 entries share one string per class."""
     kind = type(value)
     if kind is int:
         return str(value)
@@ -109,6 +110,9 @@ def _stringify(value):
     if kind is MultiQuadraticForm:
         coeffs = [[str(i), str(j), str(c)] for (i, j), c in value.coeffs.items()]
         return {"m": str(value.m), "d": str(value.disc.d), "coeffs": coeffs}
+    if kind is ClassGroup:
+        names = [str(i) for i in range(value.h)]
+        return [[names[k] for k in row] for row in value.table]
     return value
 
 
@@ -161,7 +165,7 @@ def _cmd_classgroup(args, disc):
         return out
 
     if args["table"]:
-        result["table"] = g.table
+        result["table"] = g  # _stringify renders it as its Cayley table
     return result, lines
 
 

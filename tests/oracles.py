@@ -63,6 +63,47 @@ def distinct_primes(n):
     return count + (1 if n > 1 else 0)
 
 
+def four_rank(d):
+    """The 4-rank of the class group of fundamental d < 0 by Redei's matrix,
+    from the factorization of d alone: write d = d_1...d_t as prime
+    discriminants (-4, 8, -8, p* = (-1)^((p-1)/2)*p for odd p | d), set
+    R_ij = 1 when the Kronecker symbol (d_j / p_i) is -1, i != j, and R_ii
+    so that each row sums to 0 mod 2; then r4 = t - 1 - rank of R over F2.
+    Trial division and Euler's criterion only."""
+    primes, parts = [], []
+    n, p = -d, 3
+    while n % 2 == 0:
+        n //= 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        if n % p == 0:
+            n //= p
+            primes.append(p)
+            parts.append(p if p % 4 == 1 else -p)
+        p += 2
+    if d % 2 == 0:
+        primes.append(2)
+        parts.append(d // math.prod(parts))
+    rows = []
+    for i, p in enumerate(primes):
+        if p == 2:  # every other d_j is 1 mod 4: (d_j / 2) = -1 iff d_j = 5 mod 8
+            row = [int(dj % 8 == 5) for dj in parts]
+        else:
+            row = [int(pow(dj, (p - 1) // 2, p) == p - 1) for dj in parts]
+        row[i] = 0
+        row[i] = sum(row) % 2
+        rows.append(sum(b << j for j, b in enumerate(row)))
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+    return len(primes) - 1 - rank
+
+
 def count_reduced(d):
     """The number of reduced primitive forms of discriminant d: scan the
     whole (a, b, c) box and test the discriminant equation directly."""

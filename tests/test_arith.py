@@ -3,6 +3,7 @@ import random
 import pytest
 import sympy
 
+import quadgenus.arith as arith
 from quadgenus.arith import (
     Discriminant,
     DomainError,
@@ -12,7 +13,7 @@ from quadgenus.arith import (
     factorize,
 )
 
-from oracles import random_disc, random_quadint
+from oracles import random_disc, random_quadint, recorder
 
 
 def test_discriminant_validation():
@@ -60,10 +61,11 @@ def test_conductor_split(d, f, dk):
 
 
 def test_conductor_split_checks_the_square_part():
-    # -6 is no discriminant: its square part 1 cannot be halved
+    # -6 is no discriminant: its squarefree part 6 gives dK = -24, and -6
+    # is no square times that
     with pytest.raises(AssertionError) as info:
         _conductor_split(-6)
-    assert str(info.value) == "square part 1 of d = -6 must be even"
+    assert str(info.value) == "d = -6 is not a square times -24"
 
 
 def test_conductor_split_random():
@@ -90,6 +92,29 @@ def test_factorize_against_sympy():
     assert factorize(249172201) == {13669: 1, 18229: 1}
     # the backtrack reaches n as well, so rho starts again from a new seed
     assert factorize(985254539) == {28549: 1, 34511: 1}
+
+
+def test_factorize_stops_at_the_rho_limit(monkeypatch):
+    # rho splits (10^9 + 7)(10^9 + 9) in rounds r = 1, 2, ..., 2^14, each
+    # charged 2r iterations before it starts: 65534 in all
+    n = (10**9 + 7) * (10**9 + 9)
+    monkeypatch.setattr(arith, "RHO_ITERATION_LIMIT", 65534)
+    assert factorize(n) == {10**9 + 7: 1, 10**9 + 9: 1}
+    monkeypatch.setattr(arith, "RHO_ITERATION_LIMIT", 65533)
+    with pytest.raises(DomainError) as info:
+        factorize(n)
+    assert str(info.value) == ("factoring a 60-bit cofactor needs more than "
+                               "RHO_ITERATION_LIMIT = 65533 Brent-rho iterations")
+    with pytest.raises(DomainError, match="RHO_ITERATION_LIMIT"):
+        Discriminant(-n).conductor
+    # one call's count runs on over every cofactor rho splits
+    m = n * (10**9 + 21) * (10**9 + 33)
+    monkeypatch.setattr(arith, "RHO_ITERATION_LIMIT", 10**6)
+    counted = recorder(arith._brent_rho)
+    monkeypatch.setattr(arith, "_brent_rho", counted)
+    assert factorize(m) == {10**9 + 7: 1, 10**9 + 9: 1, 10**9 + 21: 1, 10**9 + 33: 1}
+    spent = [c[1] for c in counted.calls]
+    assert len(spent) == 3 and 0 == spent[0] < spent[1] < spent[2]
 
 
 # composites that pass the strong test to the 12 prime bases 2..37

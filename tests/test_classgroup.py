@@ -19,7 +19,15 @@ from quadgenus.classgroup import (
 )
 from quadgenus.forms import BinaryForm, _compose_ab, compose_crt, enumerate_reduced, form_inverse
 
-from oracles import big_pairs, discs, distinct_primes, is_fundamental, recorder, run_child
+from oracles import (
+    big_pairs,
+    discs,
+    distinct_primes,
+    four_rank,
+    is_fundamental,
+    recorder,
+    run_child,
+)
 
 POOL = Path(__file__).resolve().parent.parent / "bench" / "data" / "classgroup_pool.json"
 
@@ -130,6 +138,18 @@ def test_benchmark_pool_entries():
         assert (g.h, g.structure, cl_mod_squares(g)[0], len(two_torsion(g))) == \
             (e["h"], e["structure"], e["genus_order"], e["two_torsion"]), e["d"]
         assert is_fundamental(e["d"]) == e["fundamental"], e["d"]
+
+
+def test_four_rank_matches_redei(class_groups):
+    # the invariant factors divisible by 4 against Redei's count from the
+    # factorization of d alone, on every fundamental d in [-6000, -3] and
+    # in the benchmark pool
+    fundamental = [g for g in class_groups if is_fundamental(g.disc.d)]
+    assert len(fundamental) == 1825
+    entries = [e for stratum in json.loads(POOL.read_text())["strata"].values() for e in stratum]
+    pool = [class_group(Discriminant(e["d"])) for e in entries if e["fundamental"]]
+    for g in fundamental + pool:
+        assert four_rank(g.disc.d) == len([n for n in g.structure if n % 4 == 0]), g.disc.d
 
 
 def test_genus_count_of_a_strong_pseudoprime_discriminant():
@@ -369,6 +389,11 @@ def test_smith_invariants():
     assert invariants([[12, 0], [-6, 2]]) == [2, 12]
     assert invariants([[0, 3], [5, 0]]) == [15]
     assert invariants([[2, 4], [-2, 4]]) == [2, 8]
+    # the relation matrices of d = -2176 and -2280: eliminating by xgcd
+    # steps alone, with no plain subtraction where the pivot divides the
+    # entry, comes back to a state it has left on these and never ends
+    assert invariants([[2, 0, 0], [0, 4, 0], [-1, -2, 2]]) == [4, 4]
+    assert invariants([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [-1, -1, -1, 2]]) == [2, 2, 4]
 
     # against the determinantal divisors: n1*...*nj = gcd of the j x j minors
     def det(m):

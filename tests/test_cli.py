@@ -9,6 +9,7 @@ import pytest
 import quadgenus.classgroup as classgroup
 import quadgenus.cli as cli
 import quadgenus.forms as forms
+from quadgenus.arith import Discriminant
 from quadgenus.cli import main
 from quadgenus.forms import principal_form
 
@@ -70,6 +71,16 @@ def test_classgroup_table_flag(capsys):
         ["1", "2", "0"],
         ["2", "0", "1"],
     ]
+
+
+def test_json_table_shares_one_string_per_class():
+    # h^2 entries but only h strings, so the JSON table costs pointers; at
+    # h = 16, "10" to "15" are not the interpreter's cached one-character
+    # strings
+    g = classgroup.class_group(Discriminant(-399))
+    table = cli._stringify(g)
+    assert table == [[str(k) for k in row] for row in g.table]
+    assert len({id(s) for row in table for s in row}) == g.h == 16
 
 
 def test_reduce_enumerate_text(capsys):
